@@ -141,6 +141,13 @@ Bytes Reader::bytes() {
   return out;
 }
 
+std::span<const std::uint8_t> Reader::raw(std::size_t n) {
+  need(n);
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 void Reader::expect_done() const {
   if (!done()) {
     throw DecodeError("trailing bytes after message: " +

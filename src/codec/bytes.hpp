@@ -45,6 +45,9 @@ class Writer {
   void bytes(std::span<const std::uint8_t> data);
   /// Raw bytes with no length prefix (caller knows the framing).
   void raw(std::span<const std::uint8_t> data);
+  /// Pre-sizes the buffer when the encoded size is known up front (a
+  /// frame header plus its payload), so appends never reallocate.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   const Bytes& data() const noexcept { return buffer_; }
   Bytes take() noexcept { return std::move(buffer_); }
@@ -70,6 +73,9 @@ class Reader {
   void f64_array(std::span<double> out);
   std::string string();
   Bytes bytes();
+  /// The next `n` bytes with no length prefix (caller knows the
+  /// framing), as a view into the borrowed buffer.
+  std::span<const std::uint8_t> raw(std::size_t n);
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool done() const noexcept { return pos_ == data_.size(); }

@@ -1,5 +1,7 @@
 #include "core/dls_lbl.hpp"
 
+#include <algorithm>
+
 #include "check/mechanism_invariants.hpp"
 #include "common/discipline.hpp"
 #include "common/error.hpp"
@@ -158,6 +160,41 @@ const DlsLblResult& assess_compliant(const net::LinearNetwork& bid_network,
 }
 
 DLS_HOT_NOALLOC
+const DlsLblResult& assess_compliant_from_solution(
+    const net::LinearNetwork& bid_network, const dlt::LinearSolution& solution,
+    std::span<const double> actual_rates, const MechanismConfig& config,
+    AssessWorkspace& ws) {
+  const std::size_t n = bid_network.size();
+  DLS_REQUIRE(solution.alpha.size() == n && solution.alpha_hat.size() == n &&
+                  solution.equivalent_w.size() == n &&
+                  solution.received.size() == n,
+              "solution does not match the bid network's chain length");
+  dlt::LinearSolution& held = ws.result.solution;
+  if (&solution != &held) {
+    // resize + copy rather than vector assignment: growth of a warmed
+    // buffer is the only allocation, and it stops after the first call
+    // at this chain size.
+    held.alpha.resize(n);
+    held.alpha_hat.resize(n);
+    held.equivalent_w.resize(n);
+    held.received.resize(n);
+    std::copy(solution.alpha.begin(), solution.alpha.end(),
+              held.alpha.begin());
+    std::copy(solution.alpha_hat.begin(), solution.alpha_hat.end(),
+              held.alpha_hat.begin());
+    std::copy(solution.equivalent_w.begin(), solution.equivalent_w.end(),
+              held.equivalent_w.begin());
+    std::copy(solution.received.begin(), solution.received.end(),
+              held.received.begin());
+    held.steps.clear();
+    held.makespan = solution.makespan;
+  }
+  fill_assessments(bid_network, actual_rates, /*computed_loads=*/{}, config,
+                   /*solution_found=*/true, ws.result);
+  return ws.result;
+}
+
+DLS_HOT_NOALLOC
 const DlsLblResult& assess_compliant_from_batch(
     const net::LinearNetwork& bid_network, const dlt::BatchLinearSolver& batch,
     std::size_t lane, std::span<const double> actual_rates,
@@ -165,9 +202,8 @@ const DlsLblResult& assess_compliant_from_batch(
   DLS_REQUIRE(batch.processors() == bid_network.size(),
               "batch lane does not match the bid network's chain length");
   batch.extract(lane, ws.result.solution);
-  fill_assessments(bid_network, actual_rates, /*computed_loads=*/{}, config,
-                   /*solution_found=*/true, ws.result);
-  return ws.result;
+  return assess_compliant_from_solution(bid_network, ws.result.solution,
+                                        actual_rates, config, ws);
 }
 
 double utility_under_bid(const net::LinearNetwork& true_network,

@@ -79,13 +79,24 @@ const DlsLblResult& assess_compliant(const net::LinearNetwork& bid_network,
                                      const MechanismConfig& config,
                                      AssessWorkspace& ws);
 
-/// Compliant assessment taking the allocation from lane `lane` of an
-/// already-solved BatchLinearSolver instead of re-running Algorithm 1.
-/// The lane must hold the solve of `bid_network` (the caller batched it
-/// there); payments are bit-identical to assess_compliant on the same
-/// network because the batch engine's lanes are bit-identical to the
-/// scalar solver. This is the serve dispatcher's payment path for
-/// batched cache misses.
+/// Compliant assessment of an allocation the caller already holds —
+/// `solution` must be Algorithm 1 on `bid_network` (a fresh solve, a
+/// cached one, an extracted batch lane) — instead of re-running
+/// Algorithm 1. Payments are read off α, α̂ and w̄ alone, so they are
+/// bit-identical to assess_compliant on the same network. ws.result's
+/// solution receives a copy of α, α̂, w̄, D and the makespan (no
+/// reduction trace); passing ws.result.solution itself skips the copy.
+/// Allocation-free once ws has warmed to the chain size. This is the
+/// serve dispatcher's payment path.
+const DlsLblResult& assess_compliant_from_solution(
+    const net::LinearNetwork& bid_network, const dlt::LinearSolution& solution,
+    std::span<const double> actual_rates, const MechanismConfig& config,
+    AssessWorkspace& ws);
+
+/// assess_compliant_from_solution on lane `lane` of an already-solved
+/// BatchLinearSolver: extracts the lane into ws.result.solution, then
+/// assesses it. The lane must hold the solve of `bid_network`; batch
+/// lanes are bit-identical to the scalar solver, so payments are too.
 const DlsLblResult& assess_compliant_from_batch(
     const net::LinearNetwork& bid_network, const dlt::BatchLinearSolver& batch,
     std::size_t lane, std::span<const double> actual_rates,

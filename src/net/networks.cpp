@@ -1,6 +1,7 @@
 #include "net/networks.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -10,11 +11,13 @@ namespace dls::net {
 
 namespace {
 
+/// Every rate is a finite positive time: `!(v > 0)` alone also rejects
+/// NaN, but +inf would pass it and reach the solvers as a NaN makespan.
 void require_positive(std::span<const double> values, const char* what) {
   for (const double v : values) {
-    if (!(v > 0.0)) {
+    if (!(v > 0.0) || !std::isfinite(v)) {
       throw dls::InfeasibleError(std::string(what) +
-                                 " must be positive, got " +
+                                 " must be finite and positive, got " +
                                  std::to_string(v));
     }
   }
@@ -24,11 +27,16 @@ void require_positive(std::span<const double> values, const char* what) {
 
 LinearNetwork::LinearNetwork(std::vector<double> w, std::vector<double> z)
     : w_(std::move(w)), z_(std::move(z)) {
-  DLS_REQUIRE(w_.size() >= 1, "linear network needs at least one processor");
-  DLS_REQUIRE(z_.size() + 1 == w_.size(),
+  validate(w_, z_);
+}
+
+void LinearNetwork::validate(std::span<const double> w,
+                             std::span<const double> z) {
+  DLS_REQUIRE(w.size() >= 1, "linear network needs at least one processor");
+  DLS_REQUIRE(z.size() + 1 == w.size(),
               "linear network needs exactly one link per non-root processor");
-  require_positive(w_, "processing time w");
-  require_positive(z_, "link time z");
+  require_positive(w, "processing time w");
+  require_positive(z, "link time z");
 }
 
 double LinearNetwork::w(std::size_t i) const {
@@ -175,7 +183,8 @@ BusNetwork::BusNetwork(double root_w, std::vector<double> worker_w,
                        double bus_z)
     : root_w_(root_w), w_(std::move(worker_w)), z_(bus_z) {
   DLS_REQUIRE(!w_.empty(), "bus network needs at least one worker");
-  DLS_REQUIRE(z_ > 0.0, "bus time must be positive");
+  DLS_REQUIRE(z_ > 0.0 && std::isfinite(z_),
+              "bus time must be finite and positive");
   require_positive(w_, "worker processing time w");
 }
 

@@ -22,8 +22,13 @@ namespace dls::net {
 class LinearNetwork {
  public:
   /// `w` has m+1 entries (P_0..P_m); `z` has m entries where z[j-1] is the
-  /// unit communication time of link l_j. All values must be positive.
+  /// unit communication time of link l_j. All values must be finite and
+  /// positive.
   LinearNetwork(std::vector<double> w, std::vector<double> z);
+
+  /// The constructor's checks without building a network: throws exactly
+  /// what LinearNetwork(w, z) would throw for these rates.
+  static void validate(std::span<const double> w, std::span<const double> z);
 
   /// Number of processors, m+1.
   std::size_t size() const noexcept { return w_.size(); }

@@ -1,6 +1,7 @@
 #include "net/tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -14,12 +15,13 @@ TreeNetwork::TreeNetwork(std::vector<double> w, std::vector<double> z,
               "w, z and parent must have one entry per node");
   children_.resize(w_.size());
   for (std::size_t i = 0; i < w_.size(); ++i) {
-    if (!(w_[i] > 0.0)) {
-      throw dls::InfeasibleError("processing time must be positive");
+    if (!(w_[i] > 0.0) || !std::isfinite(w_[i])) {
+      throw dls::InfeasibleError(
+          "processing time must be finite and positive");
     }
     if (i == 0) continue;
-    if (!(z_[i] > 0.0)) {
-      throw dls::InfeasibleError("link time must be positive");
+    if (!(z_[i] > 0.0) || !std::isfinite(z_[i])) {
+      throw dls::InfeasibleError("link time must be finite and positive");
     }
     DLS_REQUIRE(parent_[i] < i,
                 "parents must precede children (topological numbering)");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace dls::serve {
 
@@ -104,27 +106,27 @@ std::string to_string(FrameType type) {
   return "unknown";
 }
 
-std::uint32_t frame_checksum(std::span<const std::uint8_t> payload) noexcept {
-  // v3: FNV-1a-64 over 8-byte words, bytewise tail, folded to 32 bits.
-  // The v2 byte loop was a serial multiply chain (~3 cycles/byte) that
-  // dominated frame handling on kilobyte payloads; hashing a word per
-  // step keeps the same stability story at an eighth of the depth. The
-  // explicit little-endian word assembly compiles to a plain load on
-  // little-endian targets and keeps the value identical elsewhere.
+std::uint64_t word_fnv1a64(std::span<const std::uint8_t> data) noexcept {
   std::uint64_t hash = 14695981039346656037ull;  // FNV-1a-64 offset basis
   constexpr std::uint64_t kPrime = 1099511628211ull;  // FNV-1a-64 prime
-  const std::uint8_t* cursor = payload.data();
-  const std::size_t words = payload.size() / 8;
+  const std::uint8_t* cursor = data.data();
+  const std::size_t words = data.size() / 8;
   for (std::size_t i = 0; i < words; ++i, cursor += 8) {
-    std::uint64_t chunk = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      chunk |= static_cast<std::uint64_t>(cursor[b]) << (8 * b);
+    std::uint64_t word = 0;
+    std::memcpy(&word, cursor, sizeof word);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
     }
-    hash = (hash ^ chunk) * kPrime;
+    hash = (hash ^ word) * kPrime;
   }
-  for (std::size_t b = words * 8; b < payload.size(); ++b) {
-    hash = (hash ^ payload[b]) * kPrime;
+  for (std::size_t b = words * 8; b < data.size(); ++b) {
+    hash = (hash ^ data[b]) * kPrime;
   }
+  return hash;
+}
+
+std::uint32_t frame_checksum(std::span<const std::uint8_t> payload) noexcept {
+  const std::uint64_t hash = word_fnv1a64(payload);
   return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
@@ -132,6 +134,7 @@ codec::Bytes encode_frame(const Frame& frame) {
   DLS_REQUIRE(frame.payload.size() <= kMaxFramePayload,
               "frame payload exceeds kMaxFramePayload");
   codec::Writer w;
+  w.reserve(kFrameHeaderSize + frame.payload.size());
   w.u32(kFrameMagic);
   w.u8(kFrameVersion);
   w.u8(static_cast<std::uint8_t>(frame.type));
@@ -153,8 +156,8 @@ Frame decode_frame(std::span<const std::uint8_t> data) {
   }
   Frame frame;
   frame.type = header.type;
-  frame.payload.resize(header.length);
-  for (auto& byte : frame.payload) byte = r.u8();
+  const std::span<const std::uint8_t> payload = r.raw(header.length);
+  frame.payload.assign(payload.begin(), payload.end());
   r.expect_done();
   verify_checksum(frame, header.checksum);
   return frame;

@@ -20,17 +20,6 @@ Clock::duration seconds_of(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// Digest of a response with the per-hop fields zeroed, so two shards
-/// that solved the same instance identically compare equal even though
-/// they answered different request ids or cache states.
-std::uint64_t normalized_digest(const ScheduleResponse& response) {
-  ScheduleResponse normal = response;
-  normal.request_id = 0;
-  normal.cache_hit = false;
-  const codec::Bytes bytes = encode_schedule_response(normal);
-  return shard_hash(bytes);
-}
-
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config)
@@ -195,8 +184,9 @@ void ShardRouter::session_loop(Session* session) {
       }
       // Verbatim fast path: a payload byte-identical (modulo id) to
       // one already answered inline replays the cached encoding before
-      // any decode work happens.
-      if (config_.replay_cache_capacity > 0 &&
+      // any decode work happens. Only inline answers fill the replay
+      // tiers, so without the inline path there is nothing to look up.
+      if (config_.replay_cache_capacity > 0 && inline_enabled() &&
           try_replay(session, frame->payload)) {
         continue;
       }
@@ -361,7 +351,7 @@ void ShardRouter::handle_request(Session* session,
   // Colocated fast path: with no replication to cross-check, a
   // payment-free cache hit on the primary's in-process service skips
   // the wire, the admission queue and the dispatcher entirely.
-  if (config_.replication == 1 && !config_.local.empty()) {
+  if (inline_enabled()) {
     SchedulerService* local = config_.local[owners[0]];
     ScheduleResponse response;
     if (local != nullptr && local->try_serve_inline(request, response)) {
@@ -394,7 +384,7 @@ void ShardRouter::handle_request(Session* session,
   std::vector<ForwardResult> results;
   results.reserve(owners.size());
   for (const std::size_t shard : owners) {
-    results.push_back(forward(session, shard, request));
+    results.push_back(forward(session, shard, payload));
   }
   const ScheduleResponse merged = merge(request, results);
   {
@@ -409,7 +399,8 @@ void ShardRouter::handle_request(Session* session,
 }
 
 ShardRouter::ForwardResult ShardRouter::forward(
-    Session* session, std::size_t shard, const ScheduleRequest& request) {
+    Session* session, std::size_t shard,
+    std::span<const std::uint8_t> payload) {
   ForwardResult result;
   Transport* link = session->backends[shard].get();
   if (link == nullptr || !link->valid()) {
@@ -424,29 +415,32 @@ ShardRouter::ForwardResult ShardRouter::forward(
       return result;
     }
   }
-  ScheduleRequest copy = request;
-  copy.request_id = session->backend_next_id[shard]++;
+  // The client's encoding goes on unchanged apart from the id: this
+  // link numbers its own requests so stale replies can be told apart.
+  const std::uint64_t forward_id = session->backend_next_id[shard]++;
+  Frame frame;
+  frame.type = FrameType::kScheduleRequest;
+  frame.payload.assign(payload.begin(), payload.end());
+  patch_schedule_request_id(frame.payload, forward_id);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.forwarded;
   }
   DLS_COUNT("serve.shard.forwarded");
   try {
-    Frame frame;
-    frame.type = FrameType::kScheduleRequest;
-    frame.payload = encode_schedule_request(copy);
     write_frame(*link, frame);
     // Bounded skip of stale responses (a chaos-duplicated frame from an
     // earlier round trip on this link).
     for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::optional<Frame> reply =
-          read_frame(*link, config_.forward_timeout_s);
+      std::optional<Frame> reply = read_frame(*link, config_.forward_timeout_s);
       if (!reply) break;  // shard hung up
       if (reply->type != FrameType::kScheduleResponse) continue;
       ScheduleResponse response = decode_schedule_response(reply->payload);
-      if (response.request_id != copy.request_id) continue;  // stale
+      if (response.request_id != forward_id) continue;  // stale
       result.delivered = true;
       result.response = std::move(response);
+      result.normalized = std::move(reply->payload);
+      normalize_schedule_response(result.normalized);
       note_forward_success(shard);
       return result;
     }
@@ -463,18 +457,19 @@ ShardRouter::ForwardResult ShardRouter::forward(
 
 ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
                                     const std::vector<ForwardResult>& results) {
-  std::vector<const ScheduleResponse*> ok;
+  std::vector<const ForwardResult*> ok;
   for (const ForwardResult& result : results) {
     if (result.delivered && result.response.status == ScheduleStatus::kOk) {
-      ok.push_back(&result.response);
+      ok.push_back(&result);
     }
   }
   if (!ok.empty()) {
     if (ok.size() >= 2) {
-      const std::uint64_t first = normalized_digest(*ok[0]);
+      // Exact: the normalised encodings are compared byte for byte, so
+      // replicas agree only when every double matches bit for bit.
       bool diverged = false;
       for (std::size_t i = 1; i < ok.size(); ++i) {
-        if (normalized_digest(*ok[i]) != first) {
+        if (ok[i]->normalized != ok[0]->normalized) {
           diverged = true;
           break;
         }
@@ -506,7 +501,7 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.quorum_single;
     }
-    ScheduleResponse chosen = *ok[0];
+    ScheduleResponse chosen = ok[0]->response;
     chosen.request_id = request.request_id;
     return chosen;
   }

@@ -170,6 +170,9 @@ class ShardRouter {
   struct ForwardResult {
     bool delivered = false;  ///< a decoded response came back
     ScheduleResponse response;
+    /// The reply payload with its per-hop fields zeroed
+    /// (normalize_schedule_response): what the quorum byte-compares.
+    codec::Bytes normalized;
   };
 
   void session_loop(Session* session);
@@ -189,11 +192,17 @@ class ShardRouter {
   /// Tier-1 insert alone (replay promotion). Caller holds no locks.
   void store_verbatim(std::span<const std::uint8_t> payload,
                       const codec::Bytes& wire);
-  /// Sends `request` to `shard` on the session's backend link and
-  /// blocks for the reply. A wire/decode failure drops the link (next
-  /// request reconnects) and counts against the shard's retry budget.
+  /// Sends the encoded request `payload` to `shard` on the session's
+  /// backend link, under the link's next request id, and blocks for the
+  /// reply. A wire/decode failure drops the link (next request
+  /// reconnects) and counts against the shard's retry budget.
   ForwardResult forward(Session* session, std::size_t shard,
-                        const ScheduleRequest& request);
+                        std::span<const std::uint8_t> payload);
+  /// The colocated inline path (and so the replay tiers it fills) runs
+  /// only without replication and with in-process shards.
+  bool inline_enabled() const noexcept {
+    return config_.replication == 1 && !config_.local.empty();
+  }
   /// Merges the owners' replies per the quorum/backpressure policy.
   ScheduleResponse merge(const ScheduleRequest& request,
                          const std::vector<ForwardResult>& results);

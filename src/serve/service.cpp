@@ -426,20 +426,23 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   std::vector<SingleTask> singles;
   std::vector<MissGroup> groups;
   classify_window(batch, responses, singles, groups);
-  while (dispatch_scratch_.size() < groups.size()) {
+  const std::size_t group_count = groups.size();
+  const std::size_t tasks = group_count + singles.size();
+  while (dispatch_scratch_.size() < tasks) {
     dispatch_scratch_.push_back(std::make_unique<DispatchScratch>());
   }
-  const std::size_t group_count = groups.size();
   try {
-    pool_->parallel_for(group_count + singles.size(), [&](std::size_t t) {
+    pool_->parallel_for(tasks, [&](std::size_t t) {
+      DispatchScratch& scratch = *dispatch_scratch_[t];
       if (t < group_count) {
-        solve_group(groups[t], *dispatch_scratch_[t], batch, responses);
+        solve_group(groups[t], scratch, batch, responses);
       } else {
         const SingleTask& task = singles[t - group_count];
-        if (batch[task.index].multi) {
-          multi_responses[task.index] = handle_multi(batch[task.index]);
+        const Pending& pending = batch[task.index];
+        if (pending.multi) {
+          multi_responses[task.index] = handle_multi(pending);
         } else {
-          responses[task.index] = handle(batch[task.index], &task);
+          responses[task.index] = handle(pending, scratch.assess, &task);
         }
       }
     });
@@ -506,7 +509,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
     // per-request path, untouched.
     singles.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
+      singles.push_back(SingleTask{i, {}, nullptr});
     }
     return;
   }
@@ -516,7 +519,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       // Multi-load requests always take the per-request path: the
       // answer depends on the whole load mix, so there is nothing to
       // look up or coalesce with batchmates.
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
+      singles.push_back(SingleTask{i, {}, nullptr});
       continue;
     }
     const ScheduleRequest& request = batch[i].request;
@@ -536,20 +539,19 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
     // Validate exactly as handle() would; invalid instances go to the
     // single path so their kError response is produced by the same code.
     try {
-      [[maybe_unused]] const net::LinearNetwork probe(request.w, request.z);
+      net::LinearNetwork::validate(request.w, request.z);
     } catch (const dls::Error&) {
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
+      singles.push_back(SingleTask{i, {}, nullptr});
       continue;
     }
 
-    const codec::Bytes key = canonical_topology_key(request.w, request.z);
+    codec::Bytes key = canonical_topology_key(request.w, request.z);
     if (SolveCache::Value solution = cache_.lookup(key)) {
       if (request.options.want_payments) {
-        // Payments rerun the mechanism even on a solution hit; keep
-        // that on the classic path (handing over the hit so the cache
-        // is not consulted twice).
-        singles.push_back(
-            SingleTask{i, /*looked_up=*/true, std::move(solution)});
+        // A hit that wants payments is assessed from the cached
+        // solution on the classic path (handing over the hit and its
+        // key so neither is computed twice).
+        singles.push_back(SingleTask{i, std::move(key), std::move(solution)});
         continue;
       }
       response.status = ScheduleStatus::kOk;
@@ -587,7 +589,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       if (aliased) continue;
     }
     group->members.push_back(i);
-    group->keys.push_back(key);
+    group->keys.push_back(std::move(key));
   }
 
   // Undersized groups don't amortise the batch machinery; hand their
@@ -596,9 +598,10 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
   for (auto it = groups.begin(); it != groups.end();) {
     if (it->members.size() < config_.batch_min_lanes &&
         it->aliases.empty()) {
-      for (const std::size_t i : it->members) {
+      for (std::size_t lane = 0; lane < it->members.size(); ++lane) {
         // Classification already looked these up (known misses).
-        singles.push_back(SingleTask{i, /*looked_up=*/true, nullptr});
+        singles.push_back(
+            SingleTask{it->members[lane], std::move(it->keys[lane]), nullptr});
       }
       it = groups.erase(it);
     } else {
@@ -679,15 +682,7 @@ void SchedulerService::solve_group(const MissGroup& group,
     if (request.options.want_payments) {
       try {
         const net::LinearNetwork network(request.w, request.z);
-        const core::DlsLblResult& assessment = core::assess_compliant_from_batch(
-            network, scratch.solver, lane, network.processing_times(),
-            config_.mechanism, scratch.assess);
-        response.payments.clear();
-        response.payments.reserve(assessment.processors.size());
-        for (const core::Assessment& a : assessment.processors) {
-          response.payments.push_back(a.money.payment);
-        }
-        response.total_payment = assessment.total_payment;
+        fill_payments(network, *solutions[lane], scratch.assess, response);
       } catch (const std::exception& e) {
         response = ScheduleResponse{};
         response.request_id = request.request_id;
@@ -707,7 +702,22 @@ void SchedulerService::solve_group(const MissGroup& group,
   }
 }
 
+void SchedulerService::fill_payments(const net::LinearNetwork& network,
+                                     const dlt::LinearSolution& solution,
+                                     core::AssessWorkspace& assess,
+                                     ScheduleResponse& response) const {
+  const core::DlsLblResult& assessed = core::assess_compliant_from_solution(
+      network, solution, network.processing_times(), config_.mechanism,
+      assess);
+  response.payments.resize(assessed.processors.size());
+  for (std::size_t j = 0; j < assessed.processors.size(); ++j) {
+    response.payments[j] = assessed.processors[j].money.payment;
+  }
+  response.total_payment = assessed.total_payment;
+}
+
 ScheduleResponse SchedulerService::handle(const Pending& pending,
+                                          core::AssessWorkspace& assess,
                                           const SingleTask* prefetched) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
@@ -725,10 +735,12 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
 
   try {
     const net::LinearNetwork network(request.w, request.z);
-    const codec::Bytes key = canonical_topology_key(request.w, request.z);
-    SolveCache::Value solution = prefetched != nullptr && prefetched->looked_up
-                                     ? prefetched->solution
-                                     : cache_.lookup(key);
+    const bool looked_up = prefetched != nullptr && !prefetched->key.empty();
+    codec::Bytes fresh_key;
+    if (!looked_up) fresh_key = canonical_topology_key(request.w, request.z);
+    const codec::Bytes& key = looked_up ? prefetched->key : fresh_key;
+    SolveCache::Value solution =
+        looked_up ? prefetched->solution : cache_.lookup(key);
     response.cache_hit = solution != nullptr;
     if (!solution) {
       auto solved = std::make_shared<dlt::LinearSolution>();
@@ -740,13 +752,7 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
     response.alpha = solution->alpha;
     response.makespan = solution->makespan;
     if (request.options.want_payments) {
-      const core::DlsLblResult assessment = core::assess_compliant(
-          network, network.processing_times(), config_.mechanism);
-      response.payments.reserve(assessment.processors.size());
-      for (const core::Assessment& a : assessment.processors) {
-        response.payments.push_back(a.money.payment);
-      }
-      response.total_payment = assessment.total_payment;
+      fill_payments(network, *solution, assess, response);
     }
     response.status = ScheduleStatus::kOk;
   } catch (const dls::Error& e) {

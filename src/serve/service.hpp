@@ -199,20 +199,22 @@ class SchedulerService {
     std::vector<codec::Bytes> keys;  ///< cache key per lane
     std::vector<std::pair<std::size_t, std::size_t>> aliases;
   };
-  /// Per-group reusable solver + assessment buffers, owned by the
-  /// dispatcher and handed to pool tasks one group each.
+  /// Reusable solver + assessment buffers, owned by the dispatcher and
+  /// handed to the window's pool tasks one each (task t — a miss group
+  /// or a single request — uses dispatch_scratch_[t]).
   struct DispatchScratch {
-    dlt::BatchLinearSolver solver;
+    dlt::BatchLinearSolver solver;  ///< miss groups only
     core::AssessWorkspace assess;
   };
 
   /// A request routed to the per-request path. When classification
-  /// already consulted the cache, its result rides along so handle()
-  /// does not look up (and count) a second time.
+  /// already consulted the cache, the key it built and the lookup's
+  /// result ride along so handle() neither rebuilds the key nor looks
+  /// up (and counts) a second time.
   struct SingleTask {
     std::size_t index = 0;
-    bool looked_up = false;
-    SolveCache::Value solution;  ///< null = known miss
+    codec::Bytes key;            ///< empty = not looked up yet
+    SolveCache::Value solution;  ///< null = known miss (or not looked up)
   };
 
   /// Dispatcher-thread triage of one window: answers expired requests
@@ -231,11 +233,21 @@ class SchedulerService {
   void solve_group(const MissGroup& group, DispatchScratch& scratch,
                    const std::vector<Pending>& batch,
                    std::vector<ScheduleResponse>& responses);
+  /// Phase IV payments for `response`, assessed from the solution the
+  /// request already holds (cached, freshly solved or an extracted
+  /// batch lane) in the task's warmed workspace — Algorithm 1 is not
+  /// run a second time.
+  void fill_payments(const net::LinearNetwork& network,
+                     const dlt::LinearSolution& solution,
+                     core::AssessWorkspace& assess,
+                     ScheduleResponse& response) const;
   /// Solves (or refuses) one admitted request; pure apart from cache
   /// and metric updates, so batch items run concurrently on the pool.
-  /// `prefetched` carries classification's cache-lookup result when one
-  /// was made (so every request is looked up exactly once).
+  /// `assess` is the pool task's own workspace. `prefetched` carries
+  /// classification's cache-lookup result when one was made (so every
+  /// request is looked up exactly once).
   ScheduleResponse handle(const Pending& pending,
+                          core::AssessWorkspace& assess,
                           const SingleTask* prefetched = nullptr);
   /// Solves (or refuses) one admitted multi-load request via
   /// multiload::MultiLoadSolver; expired requests are answered without
@@ -264,8 +276,9 @@ class SchedulerService {
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
 
-  /// Grown to the window's group count and reused across windows; only
-  /// the dispatcher (and the pool tasks it fans out per window) touch it.
+  /// One entry per concurrent pool task: grown to the largest window's
+  /// task count (at most max_batch) and reused across windows; only the
+  /// dispatcher (and the pool tasks it fans out per window) touch it.
   std::vector<std::unique_ptr<DispatchScratch>> dispatch_scratch_;
 
   std::thread dispatcher_;

@@ -21,6 +21,11 @@ void expect_magic(codec::Reader& r, std::string_view magic) {
   }
 }
 
+/// Room for every magic, fixed-width field and varint prefix of one
+/// encoding below (the response needs 82 bytes beyond its error text
+/// and vectors), so each encoder reserves once instead of regrowing.
+constexpr std::size_t kEncodingSlack = 96;
+
 void put_f64_vector(codec::Writer& w, std::span<const double> values) {
   w.varint(values.size());
   w.f64_array(values);
@@ -65,6 +70,7 @@ std::string to_string(ScheduleStatus status) {
 
 codec::Bytes encode_schedule_request(const ScheduleRequest& request) {
   codec::Writer w;
+  w.reserve(kEncodingSlack + 8 * (request.w.size() + request.z.size()));
   w.string(kRequestMagic);
   w.u64(request.request_id);
   w.u64(request.options.round);
@@ -101,6 +107,8 @@ ScheduleRequest decode_schedule_request(std::span<const std::uint8_t> data) {
 
 codec::Bytes encode_schedule_response(const ScheduleResponse& response) {
   codec::Writer w;
+  w.reserve(kEncodingSlack + response.error.size() +
+            8 * (response.alpha.size() + response.payments.size()));
   w.string(kResponseMagic);
   w.u64(response.request_id);
   w.u8(static_cast<std::uint8_t>(response.status));
@@ -140,6 +148,7 @@ ScheduleResponse decode_schedule_response(
 codec::Bytes canonical_topology_key(std::span<const double> w,
                                     std::span<const double> z) {
   codec::Writer writer;
+  writer.reserve(kEncodingSlack + 8 * (w.size() + z.size()));
   writer.string(kKeyMagic);
   put_f64_vector(writer, w);
   put_f64_vector(writer, z);
@@ -154,6 +163,19 @@ std::size_t encoded_magic_size(std::string_view magic) {
   codec::Writer writer;
   writer.string(magic);
   return writer.take().size();
+}
+
+/// Writes `request_id` little-endian over the u64 at `offset`.
+void patch_id_at(codec::Bytes& payload, std::size_t offset,
+                 std::uint64_t request_id, const char* what) {
+  if (payload.size() < offset + sizeof(std::uint64_t)) {
+    throw codec::DecodeError(std::string(what) +
+                             " payload too short to patch a request id");
+  }
+  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
+    payload[offset + i] =
+        static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xffu);
+  }
 }
 
 }  // namespace
@@ -176,17 +198,27 @@ std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload) {
   return id;
 }
 
+void patch_schedule_request_id(codec::Bytes& payload,
+                               std::uint64_t request_id) {
+  static const std::size_t offset = encoded_magic_size(kRequestMagic);
+  patch_id_at(payload, offset, request_id, "request");
+}
+
 void patch_schedule_response_id(codec::Bytes& payload,
                                 std::uint64_t request_id) {
   static const std::size_t offset = encoded_magic_size(kResponseMagic);
-  if (payload.size() < offset + sizeof(std::uint64_t)) {
-    throw codec::DecodeError(
-        "response payload too short to patch a request id");
+  patch_id_at(payload, offset, request_id, "response");
+}
+
+void normalize_schedule_response(codec::Bytes& payload) {
+  // After the magic: u64 request_id, u8 status, u8 cache_hit.
+  static const std::size_t offset = encoded_magic_size(kResponseMagic);
+  constexpr std::size_t kCacheHitAt = sizeof(std::uint64_t) + 1;
+  if (payload.size() <= offset + kCacheHitAt) {
+    throw codec::DecodeError("response payload too short to normalise");
   }
-  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
-    payload[offset + i] =
-        static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xffu);
-  }
+  patch_id_at(payload, offset, 0, "response");
+  payload[offset + kCacheHitAt] = 0;
 }
 
 }  // namespace dls::serve

@@ -93,11 +93,23 @@ std::span<const std::uint8_t> schedule_request_replay_key(
 /// rest; 0 when the payload is too short.
 std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload);
 
+/// Overwrites the request_id field of an encoded request in place, so a
+/// router can forward a client's encoding under its own link's id.
+/// Throws codec::DecodeError when the payload is too short to patch.
+void patch_schedule_request_id(codec::Bytes& payload,
+                               std::uint64_t request_id);
+
 /// Overwrites the request_id field of an encoded response in place —
 /// the id is a fixed-width u64 at a fixed offset, so a cached response
 /// encoding can be replayed for a new request. Throws
 /// codec::DecodeError when the payload is too short to patch.
 void patch_schedule_response_id(codec::Bytes& payload,
                                 std::uint64_t request_id);
+
+/// Zeroes the per-hop fields of an encoded response in place — the
+/// echoed request_id and the cache-hit flag — leaving exactly the bytes
+/// two replicas that solved the same instance must agree on. Throws
+/// codec::DecodeError when the payload is too short to hold them.
+void normalize_schedule_response(codec::Bytes& payload);
 
 }  // namespace dls::serve

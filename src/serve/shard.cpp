@@ -3,16 +3,12 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "serve/frame.hpp"
 
 namespace dls::serve {
 
 std::uint64_t shard_hash(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a 64 offset basis
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ull;  // FNV 64 prime
-  }
-  return hash;
+  return word_fnv1a64(data);
 }
 
 namespace {

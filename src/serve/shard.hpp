@@ -2,7 +2,18 @@
 //
 // The federation tier partitions problem instances across N
 // SchedulerService shards by hashing the canonical_topology_key bytes
-// onto a virtual-node ring (FNV-1a 64, `vnodes` points per shard).
+// onto a virtual-node ring (word-wise FNV-1a-64, `vnodes` points per
+// shard). Placement changed once, when shard_hash moved from the
+// bytewise FNV-1a-64 loop to the word-wise one.
+//
+// Known skew: one multiply per word does not avalanche (high input bits
+// never reach low output bits), and the 8-byte (shard, vnode) inputs
+// differ only in a few low bits of each half, so every vnode lands in a
+// thin arc of the ring. On a 3-shard, 64-vnode ring every canonical key
+// therefore has the same primary; the bytewise ring already gave one
+// shard ~90% of them. Passing both kinds of point through a finalizer
+// such as MurmurHash3's fmix64 spreads them evenly — see
+// docs/SERVICE.md for what that costs.
 // Ownership of a key is the first alive shard clockwise from the key's
 // ring position; replication walks further clockwise collecting the
 // next distinct alive shards. Marking a shard dead therefore moves
@@ -21,8 +32,10 @@
 
 namespace dls::serve {
 
-/// FNV-1a 64 — the ring-point and key hash. Stable across platforms so
-/// shard assignment is reproducible in tests and across processes.
+/// The ring-point and key hash: word_fnv1a64, the frame checksum's loop,
+/// equal to bytewise FNV-1a-64 on inputs shorter than 8 bytes. Stable
+/// across platforms so shard assignment is reproducible in tests and
+/// across processes.
 std::uint64_t shard_hash(std::span<const std::uint8_t> data) noexcept;
 
 struct ShardMapConfig {

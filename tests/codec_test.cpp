@@ -123,6 +123,22 @@ TEST(Codec, StringAndBytesRoundtrip) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(Codec, RawIsABoundsCheckedView) {
+  const Bytes data = {1, 2, 3, 4, 5};
+  Reader r(data);
+  EXPECT_EQ(r.u8(), 1);
+  const auto view = r.raw(3);
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.data(), data.data() + 1);  // borrowed, not copied
+  EXPECT_EQ(view[2], 4);
+  EXPECT_EQ(r.remaining(), 1u);
+  EXPECT_THROW(r.raw(2), DecodeError);
+  EXPECT_EQ(r.remaining(), 1u);  // a failed read consumes nothing
+  EXPECT_TRUE(r.raw(0).empty());
+  EXPECT_EQ(r.raw(1)[0], 5);
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Codec, TruncatedBufferThrows) {
   Writer w;
   w.u64(7);

@@ -2,15 +2,22 @@
 // DLS-LBL assessment.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/dls_lbl.hpp"
 #include "core/payment_rules.hpp"
+#include "dlt/linear.hpp"
 #include "net/networks.hpp"
 
 namespace {
 
 using dls::core::assess_compliant;
+using dls::core::assess_compliant_from_solution;
 using dls::core::assess_dls_lbl;
+using dls::core::AssessWorkspace;
 using dls::core::cheating_profit_bound;
 using dls::core::DlsLblResult;
 using dls::core::evaluate_payment;
@@ -182,6 +189,53 @@ TEST(AssessDlsLbl, RejectsBadInputs) {
   EXPECT_THROW(assess_dls_lbl(solo, std::vector<double>{1.0},
                               std::vector<double>{1.0}, MechanismConfig{}),
                dls::PreconditionError);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(AssessDlsLbl, FromSolutionMatchesAssessCompliantBitForBit) {
+  // One workspace across chains of growing and shrinking length: the
+  // held solution is copied in, or used in place when it is ws's own.
+  dls::common::Rng rng(2024);
+  const MechanismConfig config{};
+  AssessWorkspace ws;
+  for (const std::size_t m : {3u, 40u, 1u, 17u, 40u}) {
+    const auto net = LinearNetwork::random(m + 1, rng, 0.3, 3.0, 0.02, 0.5);
+    const auto rates = net.processing_times();
+    const auto direct = assess_compliant(net, rates, config);
+    const auto solved = dls::dlt::solve_linear_boundary(net);
+    const auto expect_same = [&](const DlsLblResult& got) {
+      ASSERT_EQ(got.processors.size(), direct.processors.size());
+      for (std::size_t j = 0; j < direct.processors.size(); ++j) {
+        EXPECT_EQ(bits(got.processors[j].money.payment),
+                  bits(direct.processors[j].money.payment))
+            << "m=" << m << " j=" << j;
+        EXPECT_EQ(got.processors[j].money.utility,
+                  direct.processors[j].money.utility);
+      }
+      EXPECT_EQ(got.total_payment, direct.total_payment);
+      EXPECT_EQ(got.mechanism_cost, direct.mechanism_cost);
+      EXPECT_EQ(got.solution.alpha, direct.solution.alpha);
+      EXPECT_EQ(got.solution.makespan, direct.solution.makespan);
+      EXPECT_TRUE(got.solution.steps.empty());
+    };
+    expect_same(assess_compliant_from_solution(net, solved, rates, config, ws));
+    const auto& held = ws.result.solution;
+    expect_same(assess_compliant_from_solution(net, held, rates, config, ws));
+  }
+}
+
+TEST(AssessDlsLbl, FromSolutionRejectsAMismatchedSolution) {
+  const LinearNetwork net({1.0, 2.0, 1.5}, {0.3, 0.2});
+  const LinearNetwork longer({1.0, 2.0, 1.5, 3.0}, {0.3, 0.2, 0.4});
+  const auto solved = dls::dlt::solve_linear_boundary(longer);
+  const auto rates = net.processing_times();
+  const MechanismConfig config{};
+  AssessWorkspace ws;
+  const auto assess = [&] {
+    return assess_compliant_from_solution(net, solved, rates, config, ws);
+  };
+  EXPECT_THROW(assess(), dls::PreconditionError);
 }
 
 TEST(CheatingProfitBound, ExceedsAnyBonusAndCompensation) {

@@ -4,6 +4,8 @@
 // independently-implemented reductions.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dlt/linear.hpp"
@@ -32,6 +34,11 @@ TEST(TreeNetwork, ValidatesStructure) {
   EXPECT_THROW(TreeNetwork({1.0, -1.0}, {1.0, 0.5}, {0, 0}),
                dls::InfeasibleError);
   EXPECT_THROW(TreeNetwork({1.0, 1.0}, {1.0, 0.0}, {0, 0}),
+               dls::InfeasibleError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TreeNetwork({1.0, inf}, {1.0, 0.5}, {0, 0}),
+               dls::InfeasibleError);
+  EXPECT_THROW(TreeNetwork({1.0, 1.0}, {1.0, inf}, {0, 0}),
                dls::InfeasibleError);
 }
 

@@ -1,8 +1,11 @@
 // Tests for the network descriptions.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dlt/linear.hpp"
 #include "net/networks.hpp"
 
 namespace {
@@ -30,6 +33,29 @@ TEST(LinearNetwork, ValidatesShapeAndPositivity) {
   EXPECT_THROW(LinearNetwork({1.0, 2.0}, {}), PreconditionError);
   EXPECT_THROW(LinearNetwork({1.0, -2.0}, {0.1}), InfeasibleError);
   EXPECT_THROW(LinearNetwork({1.0, 2.0}, {0.0}), InfeasibleError);
+}
+
+TEST(LinearNetwork, RejectsNonFiniteRates) {
+  // `!(v > 0)` alone let +inf through: w = {1, inf}, z = {0.1} solved to
+  // a NaN makespan with no error.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    EXPECT_THROW(LinearNetwork({1.0, bad}, {0.1}), InfeasibleError) << bad;
+    EXPECT_THROW(LinearNetwork({bad, 1.0}, {0.1}), InfeasibleError) << bad;
+    EXPECT_THROW(LinearNetwork({1.0, 1.0}, {bad}), InfeasibleError) << bad;
+  }
+  // The reported case, and a counterfactual rebid reaching it.
+  const auto solve_reported_case = [&] {
+    return dls::dlt::solve_linear_boundary(LinearNetwork({1.0, inf}, {0.1}));
+  };
+  EXPECT_THROW(solve_reported_case(), InfeasibleError);
+  EXPECT_THROW(LinearNetwork::uniform(2, 1.0, 0.1).with_processing_time(1, inf),
+               InfeasibleError);
+  // Extreme but finite rates stay valid.
+  const double big = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::min();
+  EXPECT_NO_THROW(LinearNetwork({1.0, big}, {tiny}));
 }
 
 TEST(LinearNetwork, IndexBoundsChecked) {
@@ -89,6 +115,14 @@ TEST(InteriorLinearNetwork, ValidatesRootPosition) {
   EXPECT_NO_THROW(InteriorLinearNetwork({1, 2, 3}, {0.1, 0.2}, 1));
 }
 
+TEST(InteriorLinearNetwork, RejectsNonFiniteRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(InteriorLinearNetwork({1, inf, 3}, {0.1, 0.2}, 1),
+               InfeasibleError);
+  EXPECT_THROW(InteriorLinearNetwork({1, 2, 3}, {0.1, inf}, 1),
+               InfeasibleError);
+}
+
 TEST(InteriorLinearNetwork, ChainsIncludeRootAndReverseLeft) {
   const InteriorLinearNetwork net({1, 2, 3, 4, 5}, {0.1, 0.2, 0.3, 0.4}, 2);
   const dls::net::LinearNetwork left = net.left_chain();
@@ -125,6 +159,9 @@ TEST(StarNetwork, Validates) {
   EXPECT_THROW(StarNetwork(1.0, {}, {}), PreconditionError);
   EXPECT_THROW(StarNetwork(1.0, {2.0}, {0.1, 0.2}), PreconditionError);
   EXPECT_THROW(StarNetwork(1.0, {-2.0}, {0.1}), InfeasibleError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(StarNetwork(1.0, {inf}, {0.1}), InfeasibleError);
+  EXPECT_THROW(StarNetwork(1.0, {2.0}, {inf}), InfeasibleError);
 }
 
 TEST(BusNetwork, AsStarSharesTheChannel) {
@@ -139,6 +176,9 @@ TEST(BusNetwork, AsStarSharesTheChannel) {
 TEST(BusNetwork, Validates) {
   EXPECT_THROW(BusNetwork(1.0, {2.0}, 0.0), PreconditionError);
   EXPECT_THROW(BusNetwork(1.0, {}, 0.1), PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(BusNetwork(1.0, {2.0}, inf), PreconditionError);
+  EXPECT_THROW(BusNetwork(1.0, {inf}, 0.1), InfeasibleError);
 }
 
 }  // namespace

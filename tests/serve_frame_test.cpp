@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -417,6 +418,56 @@ TEST(FrameTest, ChecksumMismatchLeavesStreamFrameAligned) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->type, good.type);
   EXPECT_EQ(got->payload, good.payload);
+}
+
+/// The v3 checksum as first specified: each word assembled little-endian
+/// from its bytes, FNV-1a-64, bytewise tail, xor-folded to 32 bits.
+std::uint32_t byte_assembled_checksum(std::span<const std::uint8_t> payload) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const std::size_t words = payload.size() / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t chunk = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      chunk |= static_cast<std::uint64_t>(payload[8 * i + b]) << (8 * b);
+    }
+    hash = (hash ^ chunk) * 1099511628211ull;
+  }
+  for (std::size_t b = words * 8; b < payload.size(); ++b) {
+    hash = (hash ^ payload[b]) * 1099511628211ull;
+  }
+  return static_cast<std::uint32_t>(hash ^ (hash >> 32));
+}
+
+TEST(FrameTest, ChecksumIsTheByteAssembledV3Fold) {
+  // Every length 0..64 covers each tail size around whole words; the
+  // multi-KB payload is hashed from every start offset 0..7 so the word
+  // loads run unaligned.
+  Bytes data(4096 + 8 + 64);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (auto& byte : data) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<std::uint8_t>(state >> 56);
+  }
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t length = 0; length <= 64; ++length) {
+    const auto payload = all.subspan(3, length);
+    EXPECT_EQ(dls::serve::frame_checksum(payload),
+              byte_assembled_checksum(payload))
+        << "length " << length;
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const auto payload = all.subspan(offset, 4096 + 61);
+    EXPECT_EQ(dls::serve::frame_checksum(payload),
+              byte_assembled_checksum(payload))
+        << "offset " << offset;
+  }
+  // Pinned wire value: bytes 0..63 as one payload.
+  Bytes ramp(64);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(dls::serve::frame_checksum(ramp), 0xf996b8c1u);
+  EXPECT_EQ(byte_assembled_checksum(ramp), 0xf996b8c1u);
 }
 
 TEST(FrameTest, MalformedHeaderOnStreamIsDecodeError) {

@@ -5,11 +5,15 @@
 // responses, and stop() answers everything still queued.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/dls_lbl.hpp"
 #include "dlt/linear.hpp"
 #include "net/networks.hpp"
@@ -61,22 +65,130 @@ TEST(ServeServiceTest, OkResponseMatchesDirectSolverExactly) {
   EXPECT_EQ(response.makespan, direct.makespan);
 }
 
-TEST(ServeServiceTest, PaymentsMatchComplianceAssessment) {
-  SchedulerService service(ServiceConfig{});
-  SchedulerClient client(service.connect());
-  ScheduleOptions options;
-  options.want_payments = true;
-  const ScheduleResponse response = client.schedule(kW, kZ, options);
-  ASSERT_EQ(response.status, ScheduleStatus::kOk);
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-  const dls::net::LinearNetwork network(kW, kZ);
+/// Payments in a served answer must equal core::assess_compliant on the
+/// same chain bit for bit (compared as IEEE-754 bit patterns).
+void expect_payments_match(const ScheduleResponse& response,
+                           const std::vector<double>& w,
+                           const std::vector<double>& z) {
+  ASSERT_EQ(response.status, ScheduleStatus::kOk) << response.error;
+  const dls::net::LinearNetwork network(w, z);
   const dls::core::DlsLblResult direct = dls::core::assess_compliant(
       network, network.processing_times(), dls::core::MechanismConfig{});
   ASSERT_EQ(response.payments.size(), direct.processors.size());
   for (std::size_t i = 0; i < direct.processors.size(); ++i) {
-    EXPECT_EQ(response.payments[i], direct.processors[i].money.payment);
+    EXPECT_EQ(bits(response.payments[i]),
+              bits(direct.processors[i].money.payment))
+        << "Q_" << i << " of an m=" << network.workers() << " chain";
   }
-  EXPECT_EQ(response.total_payment, direct.total_payment);
+  EXPECT_EQ(bits(response.total_payment), bits(direct.total_payment));
+}
+
+struct Chain {
+  std::vector<double> w;
+  std::vector<double> z;
+};
+
+std::vector<Chain> random_chains(std::uint64_t seed, std::size_t count,
+                                 std::size_t fixed_workers = 0) {
+  dls::common::Rng rng(seed);
+  std::vector<Chain> chains(count);
+  for (Chain& chain : chains) {
+    std::size_t m = fixed_workers;
+    if (m == 0) m = static_cast<std::size_t>(rng.uniform_int(1, 48));
+    chain.w.resize(m + 1);
+    chain.z.resize(m);
+    for (auto& v : chain.w) v = rng.log_uniform(0.3, 3.0);
+    for (auto& v : chain.z) v = rng.log_uniform(0.02, 0.5);
+  }
+  return chains;
+}
+
+TEST(ServeServiceTest, PaymentsMatchComplianceAssessment) {
+  using Clock = std::chrono::steady_clock;
+  ScheduleOptions options;
+  options.want_payments = true;
+
+  // The single path, one request at a time: a cold miss is solved and
+  // assessed fresh, the warm repeat is assessed from the cached solution.
+  {
+    SchedulerService service(ServiceConfig{});
+    SchedulerClient client(service.connect());
+    expect_payments_match(client.schedule(kW, kZ, options), kW, kZ);
+    const std::vector<Chain> chains = random_chains(11, 24);
+    for (const bool warm : {false, true}) {
+      for (const Chain& chain : chains) {
+        const auto response = client.schedule(chain.w, chain.z, options);
+        EXPECT_EQ(response.cache_hit, warm);
+        expect_payments_match(response, chain.w, chain.z);
+      }
+    }
+    EXPECT_EQ(service.stats().batched, 0u);
+  }
+
+  // The batched path: same-length misses admitted while the dispatcher
+  // is held coalesce into one window and are assessed from their
+  // extracted lanes; the warm window then hits the cache.
+  {
+    ServiceConfig config;
+    config.start_paused = true;
+    config.max_batch = 16;
+    config.queue_capacity = 64;
+    SchedulerService service(config);
+    PipeEnd end = service.connect();
+    const std::vector<Chain> chains = random_chains(12, 12, 20);
+    std::uint64_t next_id = 1;
+    for (const bool warm : {false, true}) {
+      service.pause();
+      for (const Chain& chain : chains) {
+        ScheduleRequest request;
+        request.request_id = next_id++;
+        request.w = chain.w;
+        request.z = chain.z;
+        request.options = options;
+        send_request(end, request);
+      }
+      // Resume only once the reader has admitted the whole window.
+      const std::uint64_t want = next_id - 1;
+      const auto give_up = Clock::now() + std::chrono::seconds(10);
+      while (service.stats().admitted < want && Clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(service.stats().admitted, want);
+      service.resume();
+      for (const Chain& chain : chains) {
+        const ScheduleResponse response = read_response(end);
+        EXPECT_EQ(response.cache_hit, warm);
+        expect_payments_match(response, chain.w, chain.z);
+      }
+    }
+    EXPECT_EQ(service.stats().batched, chains.size());
+    end.close();
+  }
+}
+
+TEST(ServeServiceTest, InfiniteBidIsTypedError) {
+  // +inf passed `!(v > 0)`: the solver then returned a NaN makespan. It
+  // is now refused at the network boundary, payments or not.
+  SchedulerService service(ServiceConfig{});
+  SchedulerClient client(service.connect());
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> w = {1.0, 1.0};
+  const std::vector<double> z = {0.1};
+  const std::vector<double> w_inf = {1.0, inf};
+  const std::vector<double> z_inf = {inf};
+  ScheduleOptions options;
+  for (const bool payments : {false, true}) {
+    options.want_payments = payments;
+    const ScheduleResponse bid = client.schedule(w_inf, z, options);
+    EXPECT_EQ(bid.status, ScheduleStatus::kError);
+    EXPECT_NE(bid.error.find("finite"), std::string::npos) << bid.error;
+    const ScheduleResponse link = client.schedule(w, z_inf, options);
+    EXPECT_EQ(link.status, ScheduleStatus::kError);
+  }
+  EXPECT_EQ(service.stats().errors, 4u);
+  EXPECT_EQ(service.stats().ok, 0u);
 }
 
 TEST(ServeServiceTest, QueuedRequestPastDeadlineExpires) {

@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -21,6 +23,7 @@
 #include "serve/pipe.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "serve/service_wire.hpp"
 #include "serve/shard.hpp"
 
 namespace {
@@ -56,6 +59,23 @@ TEST(ShardMapTest, HashIsTheDocumentedFnv1a64) {
   EXPECT_EQ(dls::serve::shard_hash({}), 14695981039346656037ull);
   const Bytes a = {0x61};  // "a"
   EXPECT_EQ(dls::serve::shard_hash(a), 0xaf63dc4c8601ec8cull);
+}
+
+TEST(ShardMapTest, HashIsWordWiseFromEightBytes) {
+  // 14 bytes: one little-endian word folded in by a single FNV step,
+  // then six bytewise tail steps.
+  const std::string text = "dls.serve.ring";
+  const Bytes data(text.begin(), text.end());
+  std::uint64_t word = 0;
+  for (std::size_t b = 0; b < 8; ++b) {
+    word |= static_cast<std::uint64_t>(data[b]) << (8 * b);
+  }
+  std::uint64_t expected = (14695981039346656037ull ^ word) * 1099511628211ull;
+  for (std::size_t b = 8; b < data.size(); ++b) {
+    expected = (expected ^ data[b]) * 1099511628211ull;
+  }
+  EXPECT_EQ(expected, 0x4f0dcf11b337033eull);
+  EXPECT_EQ(dls::serve::shard_hash(data), expected);
 }
 
 TEST(ShardMapTest, OwnersAreDistinctAliveAndDeterministic) {
@@ -242,15 +262,42 @@ ScheduleResponse ok_response(double makespan) {
   return response;
 }
 
-TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
-  // Two scripted shards disagree on the makespan: the router must
-  // refuse with a typed kError, count the divergence, and never pick
-  // one of the conflicting answers.
+TEST(ShardRouterTest, WirePatchesTouchOnlyThePerHopFields) {
+  ScheduleRequest request;
+  request.request_id = 5;
+  request.w = {1.0, 1.5, 0.75};
+  request.z = {0.1, 0.2};
+  request.options.want_payments = true;
+  Bytes payload = dls::serve::encode_schedule_request(request);
+  dls::serve::patch_schedule_request_id(payload, 9);
+  request.request_id = 9;
+  EXPECT_EQ(payload, dls::serve::encode_schedule_request(request));
+
+  ScheduleResponse response = ok_response(1.25);
+  response.request_id = 7;
+  response.cache_hit = true;
+  response.payments = {0.5, 0.25, 0.125};
+  Bytes encoded = dls::serve::encode_schedule_response(response);
+  dls::serve::normalize_schedule_response(encoded);
+  response.request_id = 0;
+  response.cache_hit = false;
+  EXPECT_EQ(encoded, dls::serve::encode_schedule_response(response));
+
+  Bytes stub(4, 0);
+  EXPECT_THROW(dls::serve::patch_schedule_request_id(stub, 1),
+               dls::codec::DecodeError);
+  EXPECT_THROW(dls::serve::normalize_schedule_response(stub),
+               dls::codec::DecodeError);
+}
+
+/// Routes one request through an R=2 router over two scripted shards
+/// and returns the merged answer plus the router's stats.
+std::pair<ScheduleResponse, RouterStats> quorum_of(
+    std::function<ScheduleResponse(const ScheduleRequest&)> first,
+    std::function<ScheduleResponse(const ScheduleRequest&)> second) {
   std::vector<std::unique_ptr<FakeShard>> fakes;
-  fakes.push_back(std::make_unique<FakeShard>(
-      [](const ScheduleRequest&) { return ok_response(1.0); }));
-  fakes.push_back(std::make_unique<FakeShard>(
-      [](const ScheduleRequest&) { return ok_response(1.0 + 1e-9); }));
+  fakes.push_back(std::make_unique<FakeShard>(std::move(first)));
+  fakes.push_back(std::make_unique<FakeShard>(std::move(second)));
 
   RouterConfig config;
   config.shard_count = 2;
@@ -265,14 +312,43 @@ TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
 
   const std::vector<double> w = {1.0, 1.0};
   const std::vector<double> z = {0.1};
-  const auto answer = client.schedule(w, z);
-  EXPECT_EQ(answer.status, ScheduleStatus::kError);
-  EXPECT_NE(answer.error.find("divergence"), std::string::npos);
+  const ScheduleResponse answer = client.schedule(w, z);
   const RouterStats stats = router.stats();
-  EXPECT_EQ(stats.quorum_divergence, 1u);
-  EXPECT_EQ(stats.answered_ok, 0u);
   client.close();
   router.stop();
+  return {answer, stats};
+}
+
+TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
+  // Two scripted shards disagree on the makespan — by 1e-9, and by a
+  // single ulp: the router must refuse with a typed kError, count the
+  // divergence, and never pick one of the conflicting answers.
+  for (const double other : {1.0 + 1e-9, std::nextafter(1.0, 2.0)}) {
+    const auto [answer, stats] = quorum_of(
+        [](const ScheduleRequest&) { return ok_response(1.0); },
+        [other](const ScheduleRequest&) { return ok_response(other); });
+    EXPECT_EQ(answer.status, ScheduleStatus::kError) << other;
+    EXPECT_NE(answer.error.find("divergence"), std::string::npos);
+    EXPECT_EQ(stats.quorum_divergence, 1u);
+    EXPECT_EQ(stats.answered_ok, 0u);
+  }
+}
+
+TEST(ShardRouterTest, QuorumIgnoresOnlyThePerHopFields) {
+  // Replicas answering under different ids and cache states agree: the
+  // echoed request id and the cache-hit flag are zeroed before the
+  // byte compare, and nothing else is.
+  const auto [answer, stats] = quorum_of(
+      [](const ScheduleRequest&) {
+        ScheduleResponse response = ok_response(1.0);
+        response.cache_hit = true;
+        return response;
+      },
+      [](const ScheduleRequest&) { return ok_response(1.0); });
+  EXPECT_EQ(answer.status, ScheduleStatus::kOk);
+  EXPECT_EQ(answer.makespan, 1.0);
+  EXPECT_EQ(stats.quorum_agreed, 1u);
+  EXPECT_EQ(stats.quorum_divergence, 0u);
 }
 
 TEST(ShardRouterTest, BackpressureMergeTakesTheLargestRetryAfter) {
