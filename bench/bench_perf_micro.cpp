@@ -116,10 +116,11 @@ BENCHMARK(bm_solver_workspace)->RangeMultiplier(16)->Range(16, 1 << 20);
 
 // ---------------------------------------------------------------------
 // The batched SoA engine: K instances of one chain length solved in
-// lockstep so the per-step recurrence runs across lanes (AVX2/NEON when
-// compiled in and supported, scalar otherwise — bit-identical either
-// way). Zero heap allocations per batched solve once the arena has
-// warmed; that is asserted (SkipWithError), not just reported.
+// lockstep so the per-step recurrence runs across lanes (the compiler's
+// AVX2 clone of the lane loops where the CPU has it, the baseline vector
+// body otherwise — bit-identical either way). Zero heap allocations per
+// batched solve once the arena has warmed; that is asserted
+// (SkipWithError), not just reported.
 constexpr std::size_t kBatchChain = 64;
 
 std::vector<dls::net::LinearNetwork> batch_instances(std::size_t lanes) {
@@ -133,7 +134,7 @@ std::vector<dls::net::LinearNetwork> batch_instances(std::size_t lanes) {
   return nets;
 }
 
-void run_solver_batch(benchmark::State& state, dls::dlt::BatchKernel kernel) {
+void bm_solver_batch(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const auto nets = batch_instances(lanes);
   dls::dlt::BatchLinearSolver solver;
@@ -141,7 +142,7 @@ void run_solver_batch(benchmark::State& state, dls::dlt::BatchKernel kernel) {
   const auto solve_once = [&] {
     solver.begin(kBatchChain, lanes);
     for (std::size_t k = 0; k < lanes; ++k) solver.set_instance(k, nets[k]);
-    solver.solve(kernel);
+    solver.solve();
   };
   solve_once();  // warm the arena
   std::uint64_t allocs = 0;
@@ -156,22 +157,10 @@ void run_solver_batch(benchmark::State& state, dls::dlt::BatchKernel kernel) {
   state.counters["allocs_per_solve"] =
       static_cast<double>(allocs) /
       static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
-  state.counters["simd"] = dls::dlt::batch_simd_available() &&
-                                   kernel != dls::dlt::BatchKernel::kScalar
-                               ? 1.0
-                               : 0.0;
+  state.counters["simd"] = dls::dlt::batch_simd_available() ? 1.0 : 0.0;
   if (allocs != 0) state.SkipWithError("batched solve allocated after warm-up");
 }
-
-void bm_solver_batch(benchmark::State& state) {
-  run_solver_batch(state, dls::dlt::BatchKernel::kAuto);
-}
 BENCHMARK(bm_solver_batch)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void bm_solver_batch_scalar(benchmark::State& state) {
-  run_solver_batch(state, dls::dlt::BatchKernel::kScalar);
-}
-BENCHMARK(bm_solver_batch_scalar)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 // Back-to-back comparison: one K=256 batched solve versus 256 sequential
 // workspace solves of the same instances. The counter is the measured

@@ -11,26 +11,24 @@
 
 namespace dls::dlt {
 
-bool batch_simd_compiled() noexcept { return detail::lane_simd_compiled(); }
+bool batch_simd_compiled() noexcept {
+#if DLS_LANE_AVX2_CLONE || defined(__aarch64__)
+  return true;
+#else
+  return false;
+#endif
+}
 
-bool batch_simd_available() noexcept { return detail::lane_simd_available(); }
+bool batch_simd_available() noexcept {
+#if DLS_LANE_AVX2_CLONE
+  static const bool have = __builtin_cpu_supports("avx2") != 0;
+  return have;
+#else
+  return batch_simd_compiled();
+#endif
+}
 
 namespace {
-
-detail::LaneKernel resolve_kernel(BatchKernel kernel) {
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      return detail::LaneKernel::kScalar;
-    case BatchKernel::kSimd:
-      DLS_REQUIRE(batch_simd_available(),
-                  "BatchKernel::kSimd requires a DLS_SIMD build on a "
-                  "supporting CPU (see batch_simd_available)");
-      return detail::best_lane_kernel();
-    case BatchKernel::kAuto:
-      break;
-  }
-  return detail::best_lane_kernel();
-}
 
 /// Cold failure path of BatchLinearSolver::solve, kept out of the
 /// annotated hot function so the formatted message's string building is
@@ -92,16 +90,9 @@ void BatchLinearSolver::set_instance(std::size_t lane,
               "instance must match the batch chain length");
   DLS_REQUIRE(z.size() + 1 == processors_,
               "a chain needs one link per non-root processor");
-  double* const w_dst = w_stage_.data() + lane * processors_;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    DLS_REQUIRE(w[i] > 0.0, "unit computing times must be positive");
-    w_dst[i] = w[i];
-  }
-  double* const z_dst = z_stage_.data() + lane * (processors_ - 1);
-  for (std::size_t j = 0; j < z.size(); ++j) {
-    DLS_REQUIRE(z[j] > 0.0, "unit communication times must be positive");
-    z_dst[j] = z[j];
-  }
+  net::LinearNetwork::validate(w, z);
+  std::copy(w.begin(), w.end(), w_stage_.begin() + lane * processors_);
+  std::copy(z.begin(), z.end(), z_stage_.begin() + lane * (processors_ - 1));
   if (lane_filled_[lane] == 0) {
     lane_filled_[lane] = 1;
     ++filled_count_;
@@ -128,7 +119,7 @@ void BatchLinearSolver::set_instance(std::size_t lane,
 }
 
 DLS_HOT_NOALLOC
-void BatchLinearSolver::solve(BatchKernel kernel) {
+void BatchLinearSolver::solve() {
   if (filled_count_ != lanes_) throw_lanes_unfilled(filled_count_, lanes_);
   const std::size_t n = processors_;
   const std::size_t k = lanes_;
@@ -136,10 +127,6 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
                                    ",\"k\":" + std::to_string(k) + "}");
   DLS_COUNT("solver.batch.solves");
   DLS_COUNT("solver.batch.lanes", k);
-  const detail::LaneKernel lane_kernel = resolve_kernel(kernel);
-  if (lane_kernel != detail::LaneKernel::kScalar) {
-    DLS_COUNT("solver.batch.simd_solves");
-  }
 
   // Steps 1-6 of Algorithm 1 across lanes: terminal seed, then collapse
   // row by row toward the root. Same arithmetic as
@@ -164,7 +151,7 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
       row_w_[lane] = w_src[lane * n];
       row_z_[lane] = z_src[lane * (n - 1)];
     }
-    detail::reduce_lanes(lane_kernel, row_w_.data(), row_z_.data(), tail,
+    detail::reduce_lanes(row_w_.data(), row_z_.data(), tail,
                          alpha_hat_.data() + i * k,
                          equivalent_w_.data() + i * k, k);
   }
@@ -172,9 +159,8 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
   // Steps 7-10: unroll local fractions into global ones, per lane.
   for (std::size_t lane = 0; lane < k; ++lane) remaining_[lane] = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    detail::unroll_lanes(lane_kernel, alpha_hat_.data() + i * k,
-                         remaining_.data(), received_.data() + i * k,
-                         alpha_.data() + i * k, k);
+    detail::unroll_lanes(alpha_hat_.data() + i * k, remaining_.data(),
+                         received_.data() + i * k, alpha_.data() + i * k, k);
   }
   solved_ = true;
 
@@ -185,11 +171,12 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
 //   level 2 (Debug/CI): replay EVERY lane against the scalar recurrence
 //     with exact == — O(n*k), full coverage per solve.
 //   level 1 (optimised builds): replay the LAST lane (the ragged tail
-//     the SIMD remainder loop handles — the most bug-prone spot) plus
-//     one rotating lane per solve. A miscompiled kernel corrupts all
-//     lanes uniformly, so sampling catches it immediately, and the
-//     cursor covers every lane across repeated solves at O(2n) cost —
-//     cheap enough to leave on in production.
+//     the vector loop's remainder handles — the most bug-prone spot)
+//     plus one rotating lane per solve. A miscompiled kernel clone
+//     corrupts all lanes uniformly, so sampling catches it immediately —
+//     including the baseline clone on pre-AVX2 hosts, which CI cannot
+//     run — and the cursor covers every lane across repeated solves at
+//     O(2n) cost, cheap enough to leave on in production.
 void BatchLinearSolver::audit_lanes() {
   const std::size_t n = processors_;
   const std::size_t k = lanes_;

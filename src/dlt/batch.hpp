@@ -6,16 +6,16 @@
 // chains. BatchLinearSolver solves K same-length instances in lockstep:
 // reduction state is interleaved across instances (lane k of chain row i
 // lives at [i*K + k]), so each step of the recurrence becomes a dense
-// loop over K independent lanes that vectorizes (AVX2/NEON kernels in
-// batch_kernels.hpp behind the DLS_SIMD gate, with a portable scalar
-// loop as the reference implementation).
+// loop over K independent lanes that vectorizes (one portable loop per
+// step in batch_kernels.hpp; the compiler builds its NEON body on
+// aarch64 and an ifunc-selected AVX2 clone beside the baseline body on
+// x86-64).
 //
 // Contract: every lane of every result is BIT-IDENTICAL to a scalar
 // solve_linear_boundary of the same instance — the kernels replicate
 // the scalar association order exactly, and elementwise IEEE-754
 // add/sub/mul/div vectorize without changing rounding. Tests and the
-// src/check auditors assert this with exact ==, under both SIMD-on and
-// SIMD-off builds.
+// src/check auditors assert this with exact ==.
 //
 // All buffers are arena-style: sized by reserve()/begin() and reused,
 // so a warmed solver performs 0 heap allocations per solve (asserted by
@@ -32,21 +32,13 @@
 
 namespace dls::dlt {
 
-/// Kernel selection for BatchLinearSolver::solve. kAuto picks the best
-/// kernel this binary + CPU supports; the explicit values exist so
-/// tests can force scalar-vs-SIMD comparisons on the same build.
-enum class BatchKernel {
-  kAuto,    ///< SIMD when compiled in and supported by this CPU
-  kScalar,  ///< portable reference lanes, always available
-  kSimd,    ///< intrinsic lanes; solve() throws if unavailable
-};
-
-/// True when this binary was compiled with SIMD lane kernels
-/// (DLS_SIMD=1 on an x86-64 or aarch64 target).
+/// True when the lane loops carry a vector clone for this target: the
+/// AVX2 clone on x86-64, the NEON body on aarch64.
 bool batch_simd_compiled() noexcept;
 
-/// True when the running CPU can execute the compiled SIMD kernels
-/// (always true for NEON builds; AVX2 is runtime-detected).
+/// True when this CPU runs the widest clone: AVX2 is runtime-detected
+/// on x86-64 (the same test the ifunc resolver makes); always true on
+/// aarch64, where NEON is the baseline.
 bool batch_simd_available() noexcept;
 
 /// Solves K independent boundary-origination chains of equal length m
@@ -69,8 +61,9 @@ class BatchLinearSolver {
 
   /// Loads one instance into lane `lane`. `w` must hold processors()
   /// unit computing times, `z` the processors()-1 link times (z_1..z_m
-  /// in paper indexing). Validates sizes and positivity here so solve()
-  /// cannot fail on instance data.
+  /// in paper indexing). Validates sizes and the rate domain (finite and
+  /// positive, net::LinearNetwork::validate) here so solve() cannot fail
+  /// on instance data.
   void set_instance(std::size_t lane, std::span<const double> w,
                     std::span<const double> z);
 
@@ -78,7 +71,7 @@ class BatchLinearSolver {
   void set_instance(std::size_t lane, const net::LinearNetwork& network);
 
   /// Runs Algorithm 1 on every lane. Requires all lanes filled.
-  void solve(BatchKernel kernel = BatchKernel::kAuto);
+  void solve();
 
   /// Finish times by eqs. (2.1)-(2.2) for every lane's optimal
   /// allocation; call after solve(). Results via finish_time().

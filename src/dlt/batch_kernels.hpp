@@ -3,79 +3,51 @@
 // Every kernel applies ONE step of a per-instance recurrence across K
 // independent lanes (instances) stored contiguously, so the sequential
 // dependence stays along the chain while the lane dimension vectorizes.
-// Three implementations per step:
-//   * a portable scalar loop — the reference; the compiler may
-//     auto-vectorize it, which is fine because
-//   * the AVX2 kernel (x86-64, runtime-dispatched via
-//     __builtin_cpu_supports, so plain binaries stay safe on pre-AVX2
-//     CPUs) and
-//   * the NEON kernel (aarch64 baseline)
-//   perform the exact same IEEE-754 operations in the exact same
-//   association order as the scalar expressions in linear.cpp /
-//   counterfactual.cpp. add/sub/mul/div are correctly rounded
-//   elementwise, so every lane is bit-identical to a scalar solve — the
-//   property the batch tests and the src/check auditors assert with ==.
+// Each step has exactly one spelling, the portable loop below; the
+// compiler builds the wide versions from it:
+//   * `#pragma omp simd` (honoured under -fopenmp-simd, which the dls_dlt
+//     target adds; no OpenMP runtime) vectorizes each O(n·K) loop at the
+//     target's baseline width — NEON on aarch64, SSE2 on x86-64. It also
+//     asserts that a kernel's arrays do not overlap; every call site
+//     passes separate buffers.
+//   * On x86-64, DLS_LANE_CLONES adds target_clones("avx2", "default"):
+//     an AVX2 body, a baseline body and an ifunc resolver, so the loader
+//     binds the AVX2 body on CPUs that have it. ThreadSanitizer builds
+//     get the baseline body only: GCC instruments the resolver with
+//     __tsan_func_entry, which is not yet bound when the loader runs it.
 //
-// Bit-identity discipline (do not "simplify" these expressions):
-//   * pair_alpha_hat computes num = tail + z and den = (w + tail) + z —
-//     the denominator associates LEFT. The kernels mirror that exactly.
-//   * No fused multiply-add: none of the expressions below form an
-//     a*b+c tree, so -ffp-contract cannot introduce an FMA on one path
-//     but not the other.
-//
-// The DLS_SIMD gate (CMake option, default ON) compiles the intrinsic
-// kernels out entirely when 0; pick_lane_kernel then always resolves to
-// the scalar loop.
+// Bit-identity discipline (do not "simplify" these expressions): every
+// body performs the same IEEE-754 operations in the same association
+// order as the scalar code in linear.cpp / counterfactual.cpp, and
+// add/sub/mul/div are correctly rounded elementwise, so every lane is
+// bit-identical to a scalar solve (asserted with == by the batch tests
+// and the src/check auditors).
+//   * The denominator associates LEFT, (w + tail) + z, as in
+//     pair_alpha_hat.
+//   * No a*b+c trees, and -ffp-contract=off stays pinned project-wide.
+//   * No `reduction` clause: it would license re-association.
 #pragma once
 
 #include <cstddef>
 
-#ifndef DLS_SIMD
-#define DLS_SIMD 1
+#if defined(__SANITIZE_THREAD__)
+#define DLS_LANE_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DLS_LANE_TSAN 1
+#endif
 #endif
 
-#if DLS_SIMD && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define DLS_BATCH_HAVE_AVX2 1
-#include <immintrin.h>
+#if defined(__x86_64__) && defined(__ELF__) && \
+    (defined(__GNUC__) || defined(__clang__)) && !defined(DLS_LANE_TSAN)
+#define DLS_LANE_AVX2_CLONE 1
+#define DLS_LANE_CLONES __attribute__((target_clones("avx2", "default")))
 #else
-#define DLS_BATCH_HAVE_AVX2 0
-#endif
-
-#if DLS_SIMD && defined(__aarch64__) && defined(__ARM_NEON)
-#define DLS_BATCH_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define DLS_BATCH_HAVE_NEON 0
+#define DLS_LANE_AVX2_CLONE 0
+#define DLS_LANE_CLONES
 #endif
 
 namespace dls::dlt::detail {
-
-/// Resolved lane implementation; chosen once per solve, not per step.
-enum class LaneKernel { kScalar, kAvx2, kNeon };
-
-inline bool lane_simd_compiled() noexcept {
-  return DLS_BATCH_HAVE_AVX2 != 0 || DLS_BATCH_HAVE_NEON != 0;
-}
-
-inline bool lane_simd_available() noexcept {
-#if DLS_BATCH_HAVE_AVX2
-  static const bool have = __builtin_cpu_supports("avx2") != 0;
-  return have;
-#elif DLS_BATCH_HAVE_NEON
-  return true;
-#else
-  return false;
-#endif
-}
-
-inline LaneKernel best_lane_kernel() noexcept {
-#if DLS_BATCH_HAVE_AVX2
-  if (lane_simd_available()) return LaneKernel::kAvx2;
-#elif DLS_BATCH_HAVE_NEON
-  return LaneKernel::kNeon;
-#endif
-  return LaneKernel::kScalar;
-}
 
 // ---------------------------------------------------------------------
 // Collapse step, per-lane rates (BatchLinearSolver backward pass).
@@ -84,9 +56,10 @@ inline LaneKernel best_lane_kernel() noexcept {
 //   eqw  = ah * w
 //   tail = eqw
 
-inline void reduce_lanes_scalar(const double* w, const double* z,
-                                double* tail, double* ah, double* eqw,
-                                std::size_t count) {
+DLS_LANE_CLONES inline void reduce_lanes(const double* w, const double* z,
+                                         double* tail, double* ah, double* eqw,
+                                         std::size_t count) {
+#pragma omp simd
   for (std::size_t k = 0; k < count; ++k) {
     const double num = tail[k] + z[k];
     const double den = (w[k] + tail[k]) + z[k];
@@ -98,67 +71,6 @@ inline void reduce_lanes_scalar(const double* w, const double* z,
   }
 }
 
-#if DLS_BATCH_HAVE_AVX2
-__attribute__((target("avx2"))) inline void reduce_lanes_avx2(
-    const double* w, const double* z, double* tail, double* ah, double* eqw,
-    std::size_t count) {
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d wv = _mm256_loadu_pd(w + k);
-    const __m256d zv = _mm256_loadu_pd(z + k);
-    const __m256d tv = _mm256_loadu_pd(tail + k);
-    const __m256d num = _mm256_add_pd(tv, zv);
-    const __m256d den = _mm256_add_pd(_mm256_add_pd(wv, tv), zv);
-    const __m256d a = _mm256_div_pd(num, den);
-    const __m256d e = _mm256_mul_pd(a, wv);
-    _mm256_storeu_pd(ah + k, a);
-    _mm256_storeu_pd(eqw + k, e);
-    _mm256_storeu_pd(tail + k, e);
-  }
-  reduce_lanes_scalar(w + k, z + k, tail + k, ah + k, eqw + k, count - k);
-}
-#endif
-
-#if DLS_BATCH_HAVE_NEON
-inline void reduce_lanes_neon(const double* w, const double* z, double* tail,
-                              double* ah, double* eqw, std::size_t count) {
-  std::size_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const float64x2_t wv = vld1q_f64(w + k);
-    const float64x2_t zv = vld1q_f64(z + k);
-    const float64x2_t tv = vld1q_f64(tail + k);
-    const float64x2_t num = vaddq_f64(tv, zv);
-    const float64x2_t den = vaddq_f64(vaddq_f64(wv, tv), zv);
-    const float64x2_t a = vdivq_f64(num, den);
-    const float64x2_t e = vmulq_f64(a, wv);
-    vst1q_f64(ah + k, a);
-    vst1q_f64(eqw + k, e);
-    vst1q_f64(tail + k, e);
-  }
-  reduce_lanes_scalar(w + k, z + k, tail + k, ah + k, eqw + k, count - k);
-}
-#endif
-
-inline void reduce_lanes(LaneKernel kernel, const double* w, const double* z,
-                         double* tail, double* ah, double* eqw,
-                         std::size_t count) {
-  switch (kernel) {
-#if DLS_BATCH_HAVE_AVX2
-    case LaneKernel::kAvx2:
-      reduce_lanes_avx2(w, z, tail, ah, eqw, count);
-      return;
-#endif
-#if DLS_BATCH_HAVE_NEON
-    case LaneKernel::kNeon:
-      reduce_lanes_neon(w, z, tail, ah, eqw, count);
-      return;
-#endif
-    default:
-      reduce_lanes_scalar(w, z, tail, ah, eqw, count);
-      return;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Collapse step, broadcast rates (CounterfactualSolver::rebid_batch
 // prefix: every lane shares the chain's w_i and z_{i+1}, only the
@@ -166,69 +78,15 @@ inline void reduce_lanes(LaneKernel kernel, const double* w, const double* z,
 //   ah   = (tail + z) / ((w + tail) + z)
 //   tail = ah * w
 
-inline void reduce_lanes_bcast_scalar(double w, double z, double* tail,
-                                      double* ah, std::size_t count) {
+DLS_LANE_CLONES inline void reduce_lanes_bcast(double w, double z, double* tail,
+                                               double* ah, std::size_t count) {
+#pragma omp simd
   for (std::size_t k = 0; k < count; ++k) {
     const double num = tail[k] + z;
     const double den = (w + tail[k]) + z;
     const double a = num / den;
     ah[k] = a;
     tail[k] = a * w;
-  }
-}
-
-#if DLS_BATCH_HAVE_AVX2
-__attribute__((target("avx2"))) inline void reduce_lanes_bcast_avx2(
-    double w, double z, double* tail, double* ah, std::size_t count) {
-  const __m256d wv = _mm256_set1_pd(w);
-  const __m256d zv = _mm256_set1_pd(z);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d tv = _mm256_loadu_pd(tail + k);
-    const __m256d num = _mm256_add_pd(tv, zv);
-    const __m256d den = _mm256_add_pd(_mm256_add_pd(wv, tv), zv);
-    const __m256d a = _mm256_div_pd(num, den);
-    _mm256_storeu_pd(ah + k, a);
-    _mm256_storeu_pd(tail + k, _mm256_mul_pd(a, wv));
-  }
-  reduce_lanes_bcast_scalar(w, z, tail + k, ah + k, count - k);
-}
-#endif
-
-#if DLS_BATCH_HAVE_NEON
-inline void reduce_lanes_bcast_neon(double w, double z, double* tail,
-                                    double* ah, std::size_t count) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  const float64x2_t zv = vdupq_n_f64(z);
-  std::size_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const float64x2_t tv = vld1q_f64(tail + k);
-    const float64x2_t num = vaddq_f64(tv, zv);
-    const float64x2_t den = vaddq_f64(vaddq_f64(wv, tv), zv);
-    const float64x2_t a = vdivq_f64(num, den);
-    vst1q_f64(ah + k, a);
-    vst1q_f64(tail + k, vmulq_f64(a, wv));
-  }
-  reduce_lanes_bcast_scalar(w, z, tail + k, ah + k, count - k);
-}
-#endif
-
-inline void reduce_lanes_bcast(LaneKernel kernel, double w, double z,
-                               double* tail, double* ah, std::size_t count) {
-  switch (kernel) {
-#if DLS_BATCH_HAVE_AVX2
-    case LaneKernel::kAvx2:
-      reduce_lanes_bcast_avx2(w, z, tail, ah, count);
-      return;
-#endif
-#if DLS_BATCH_HAVE_NEON
-    case LaneKernel::kNeon:
-      reduce_lanes_bcast_neon(w, z, tail, ah, count);
-      return;
-#endif
-    default:
-      reduce_lanes_bcast_scalar(w, z, tail, ah, count);
-      return;
   }
 }
 
@@ -243,11 +101,10 @@ inline void reduce_lanes_bcast(LaneKernel kernel, double w, double z,
 // rebid() exactly. It lives here — not inlined at the call site — so
 // the FP-determinism fence can verify there is exactly ONE spelling of
 // every α̂ recurrence in the batch layer. O(k) once per rebid_batch (the
-// O(n·k) passes are the SIMD kernels above), so a scalar loop suffices.
+// O(n·k) passes are the other kernels), so it is left to the compiler.
 
-inline void collapse_own_lanes_scalar(const double* bids, double tail,
-                                      double z, double* ah, double* eqw,
-                                      std::size_t count) {
+inline void collapse_own_lanes(const double* bids, double tail, double z,
+                               double* ah, double* eqw, std::size_t count) {
   const double num = tail + z;
   for (std::size_t k = 0; k < count; ++k) {
     const double a = num / ((bids[k] + tail) + z);
@@ -263,9 +120,10 @@ inline void collapse_own_lanes_scalar(const double* bids, double tail,
 //   alpha     = remaining * ah
 //   remaining = remaining * (1 - ah)
 
-inline void unroll_lanes_scalar(const double* ah, double* remaining,
-                                double* received, double* alpha,
-                                std::size_t count) {
+DLS_LANE_CLONES inline void unroll_lanes(const double* ah, double* remaining,
+                                         double* received, double* alpha,
+                                         std::size_t count) {
+#pragma omp simd
   for (std::size_t k = 0; k < count; ++k) {
     const double rem = remaining[k];
     received[k] = rem;
@@ -274,118 +132,14 @@ inline void unroll_lanes_scalar(const double* ah, double* remaining,
   }
 }
 
-#if DLS_BATCH_HAVE_AVX2
-__attribute__((target("avx2"))) inline void unroll_lanes_avx2(
-    const double* ah, double* remaining, double* received, double* alpha,
-    std::size_t count) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d av = _mm256_loadu_pd(ah + k);
-    const __m256d rem = _mm256_loadu_pd(remaining + k);
-    _mm256_storeu_pd(received + k, rem);
-    _mm256_storeu_pd(alpha + k, _mm256_mul_pd(rem, av));
-    _mm256_storeu_pd(remaining + k,
-                     _mm256_mul_pd(rem, _mm256_sub_pd(one, av)));
-  }
-  unroll_lanes_scalar(ah + k, remaining + k, received + k, alpha + k,
-                      count - k);
-}
-#endif
-
-#if DLS_BATCH_HAVE_NEON
-inline void unroll_lanes_neon(const double* ah, double* remaining,
-                              double* received, double* alpha,
-                              std::size_t count) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  std::size_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const float64x2_t av = vld1q_f64(ah + k);
-    const float64x2_t rem = vld1q_f64(remaining + k);
-    vst1q_f64(received + k, rem);
-    vst1q_f64(alpha + k, vmulq_f64(rem, av));
-    vst1q_f64(remaining + k, vmulq_f64(rem, vsubq_f64(one, av)));
-  }
-  unroll_lanes_scalar(ah + k, remaining + k, received + k, alpha + k,
-                      count - k);
-}
-#endif
-
-inline void unroll_lanes(LaneKernel kernel, const double* ah,
-                         double* remaining, double* received, double* alpha,
-                         std::size_t count) {
-  switch (kernel) {
-#if DLS_BATCH_HAVE_AVX2
-    case LaneKernel::kAvx2:
-      unroll_lanes_avx2(ah, remaining, received, alpha, count);
-      return;
-#endif
-#if DLS_BATCH_HAVE_NEON
-    case LaneKernel::kNeon:
-      unroll_lanes_neon(ah, remaining, received, alpha, count);
-      return;
-#endif
-    default:
-      unroll_lanes_scalar(ah, remaining, received, alpha, count);
-      return;
-  }
-}
-
 /// Lane-product step for rebid_batch's forward pass:
 ///   remaining *= (1 - ah)
 /// Mirror of `remaining *= (1.0 - ah_scratch_[i])` in rebid().
-inline void remaining_lanes_scalar(const double* ah, double* remaining,
-                                   std::size_t count) {
+DLS_LANE_CLONES inline void remaining_lanes(const double* ah, double* remaining,
+                                            std::size_t count) {
+#pragma omp simd
   for (std::size_t k = 0; k < count; ++k) {
     remaining[k] = remaining[k] * (1.0 - ah[k]);
-  }
-}
-
-#if DLS_BATCH_HAVE_AVX2
-__attribute__((target("avx2"))) inline void remaining_lanes_avx2(
-    const double* ah, double* remaining, std::size_t count) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d av = _mm256_loadu_pd(ah + k);
-    const __m256d rem = _mm256_loadu_pd(remaining + k);
-    _mm256_storeu_pd(remaining + k,
-                     _mm256_mul_pd(rem, _mm256_sub_pd(one, av)));
-  }
-  remaining_lanes_scalar(ah + k, remaining + k, count - k);
-}
-#endif
-
-#if DLS_BATCH_HAVE_NEON
-inline void remaining_lanes_neon(const double* ah, double* remaining,
-                                 std::size_t count) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  std::size_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const float64x2_t av = vld1q_f64(ah + k);
-    const float64x2_t rem = vld1q_f64(remaining + k);
-    vst1q_f64(remaining + k, vmulq_f64(rem, vsubq_f64(one, av)));
-  }
-  remaining_lanes_scalar(ah + k, remaining + k, count - k);
-}
-#endif
-
-inline void remaining_lanes(LaneKernel kernel, const double* ah,
-                            double* remaining, std::size_t count) {
-  switch (kernel) {
-#if DLS_BATCH_HAVE_AVX2
-    case LaneKernel::kAvx2:
-      remaining_lanes_avx2(ah, remaining, count);
-      return;
-#endif
-#if DLS_BATCH_HAVE_NEON
-    case LaneKernel::kNeon:
-      remaining_lanes_neon(ah, remaining, count);
-      return;
-#endif
-    default:
-      remaining_lanes_scalar(ah, remaining, count);
-      return;
   }
 }
 

@@ -1,5 +1,7 @@
 #include "dlt/counterfactual.hpp"
 
+#include <cmath>
+
 #include "check/solver_invariants.hpp"
 #include "common/discipline.hpp"
 #include "common/error.hpp"
@@ -26,7 +28,8 @@ CounterfactualSolver::Rebid CounterfactualSolver::rebid(std::size_t index,
                                                         double bid) {
   const std::size_t n = w_.size();
   DLS_REQUIRE(index < n, "processor index out of range");
-  DLS_REQUIRE(bid > 0.0, "bid must be positive");
+  DLS_REQUIRE(bid > 0.0 && std::isfinite(bid),
+              "bid must be finite and positive");
   // rebid() is the counterfactual hot path (ns-scale); only the detail
   // level pays for a span here, the counter is one relaxed fetch_add.
   DLS_SPAN_DETAIL("solve.rebid");
@@ -79,17 +82,17 @@ void CounterfactualSolver::rebid_batch(std::size_t index,
                                          ",\"k\":" + std::to_string(k) + "}");
   DLS_COUNT("solver.rebids", k);
   DLS_COUNT("solver.batch.rebid_calls");
-  const detail::LaneKernel kernel = detail::best_lane_kernel();
 
   batch_ah_.resize((index + 1) * k);
   batch_eqw_.resize(k);
   batch_remaining_.resize(k);
 
   // Collapse step for the re-bid processor itself, per lane — the
-  // collapse_own_lanes_scalar kernel replicates the scalar rebid()
-  // expressions with the association order preserved exactly.
+  // collapse_own_lanes kernel replicates the scalar rebid() expressions
+  // with the association order preserved exactly.
   for (std::size_t lane = 0; lane < k; ++lane) {
-    DLS_REQUIRE(bids[lane] > 0.0, "bid must be positive");
+    DLS_REQUIRE(bids[lane] > 0.0 && std::isfinite(bids[lane]),
+                "bid must be finite and positive");
   }
   double* const ah_own = batch_ah_.data() + index * k;
   if (index + 1 == n) {
@@ -98,23 +101,21 @@ void CounterfactualSolver::rebid_batch(std::size_t index,
       batch_eqw_[lane] = bids[lane];
     }
   } else {
-    detail::collapse_own_lanes_scalar(bids.data(),
-                                      base_.equivalent_w[index + 1],
-                                      z(index + 1), ah_own,
-                                      batch_eqw_.data(), k);
+    detail::collapse_own_lanes(bids.data(), base_.equivalent_w[index + 1],
+                               z(index + 1), ah_own, batch_eqw_.data(), k);
   }
 
   // Prefix 0..index-1 across lanes: the chain's own w/z broadcast, only
   // the equivalent tail differs per lane.
   for (std::size_t i = index; i-- > 0;) {
-    detail::reduce_lanes_bcast(kernel, w_[i], z(i + 1), batch_eqw_.data(),
+    detail::reduce_lanes_bcast(w_[i], z(i + 1), batch_eqw_.data(),
                                batch_ah_.data() + i * k, k);
   }
 
   // Forward unroll in ascending order, matching the scalar product.
   for (std::size_t lane = 0; lane < k; ++lane) batch_remaining_[lane] = 1.0;
   for (std::size_t i = 0; i < index; ++i) {
-    detail::remaining_lanes(kernel, batch_ah_.data() + i * k,
+    detail::remaining_lanes(batch_ah_.data() + i * k,
                             batch_remaining_.data(), k);
   }
 

@@ -49,6 +49,7 @@ class CounterfactualSolver {
 
   /// Incremental re-solve with processor `index` bidding `bid`; O(index).
   /// rebid(index, w(index)) reproduces the base solution bit-for-bit.
+  /// `bid` must be finite and positive (PreconditionError otherwise).
   Rebid rebid(std::size_t index, double bid);
 
   /// Full allocation vector of the counterfactual chain, written into
@@ -58,11 +59,12 @@ class CounterfactualSolver {
 
   /// Batched rebid: out[k] = rebid(index, bids[k]) bit-for-bit, for all
   /// candidate bids in lockstep. The prefix recurrence runs across bid
-  /// lanes in SoA layout (SIMD kernels under the DLS_SIMD gate), so a
-  /// sweep of K bids costs one O(index) pass instead of K — the
-  /// utility-curve hot path of CounterfactualMechanism. Requires
-  /// bids.size() == out.size(); allocation-free once scratch has warmed
-  /// to the lane count.
+  /// lanes in SoA layout (the vectorized lane kernels of
+  /// batch_kernels.hpp), so a sweep of K bids costs one O(index) pass
+  /// instead of K — the utility-curve hot path of
+  /// CounterfactualMechanism. Requires bids.size() == out.size() and
+  /// every bid finite and positive (rejected exactly as rebid() rejects
+  /// it); allocation-free once scratch has warmed to the lane count.
   void rebid_batch(std::size_t index, std::span<const double> bids,
                    std::span<Rebid> out);
 

@@ -11,15 +11,21 @@ namespace dls::net {
 
 namespace {
 
+/// Cold failure path of require_positive, kept out of line so the check
+/// loop never builds a message: LinearNetwork::validate also runs inside
+/// BatchLinearSolver::set_instance on the dispatcher's allocation-free
+/// batch path (see tools/dls_analyze/waivers.conf).
+[[noreturn]] void throw_rate_domain(const char* what, double v) {
+  throw dls::InfeasibleError(std::string(what) +
+                             " must be finite and positive, got " +
+                             std::to_string(v));
+}
+
 /// Every rate is a finite positive time: `!(v > 0)` alone also rejects
 /// NaN, but +inf would pass it and reach the solvers as a NaN makespan.
 void require_positive(std::span<const double> values, const char* what) {
   for (const double v : values) {
-    if (!(v > 0.0) || !std::isfinite(v)) {
-      throw dls::InfeasibleError(std::string(what) +
-                                 " must be finite and positive, got " +
-                                 std::to_string(v));
-    }
+    if (!(v > 0.0) || !std::isfinite(v)) throw_rate_domain(what, v);
   }
 }
 

@@ -296,7 +296,7 @@ SocketListener::SocketListener(SocketListener&& other) noexcept
       port_(std::exchange(other.port_, 0)),
       endpoint_(std::move(other.endpoint_)),
       unix_path_(std::move(other.unix_path_)),
-      closed_(std::exchange(other.closed_, false)) {
+      closed_(other.closed_.exchange(false)) {
   other.endpoint_.clear();
   other.unix_path_.clear();
 }
@@ -309,7 +309,7 @@ SocketListener& SocketListener::operator=(SocketListener&& other) noexcept {
     port_ = std::exchange(other.port_, 0);
     endpoint_ = std::move(other.endpoint_);
     unix_path_ = std::move(other.unix_path_);
-    closed_ = std::exchange(other.closed_, false);
+    closed_.store(other.closed_.exchange(false));
     other.endpoint_.clear();
     other.unix_path_.clear();
   }
@@ -418,8 +418,7 @@ std::unique_ptr<SocketTransport> SocketListener::accept(
 }
 
 void SocketListener::close() noexcept {
-  if (closed_) return;
-  closed_ = true;
+  if (closed_.exchange(true)) return;
   // shutdown() on a listening socket wakes a blocked accept()/poll on
   // Linux; the fd is released by the destructor.
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);

@@ -146,7 +146,7 @@ class SocketListener {
   std::uint16_t port_ = 0;
   std::string endpoint_;
   std::string unix_path_;  ///< unlinked on close when non-empty
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};  ///< close() races a blocked accept()
 };
 
 /// Connects to `host`:`port` (numeric IPv4, e.g. "127.0.0.1") within

@@ -1,15 +1,16 @@
 // Property tests for the batched SoA solver engine: every lane of a
 // BatchLinearSolver solve is bit-identical (exact ==, never approximate)
 // to a scalar solve_linear_boundary of the same instance, across chain
-// lengths m in 1..64, degenerate chains, batch widths K in
-// {1, 3, 17, 256} and ragged buffer reuse — and the SIMD kernels agree
-// with the scalar kernels bit-for-bit on the same build. The same
-// discipline is asserted for the batched counterfactual rebids, the
-// utility curve they feed, and the batch-lane mechanism assessment.
+// lengths m in 1..64, degenerate chains, batch widths K in 1..5, 7..9,
+// 17 and 256 (every remainder of the 4-wide and 2-wide vector loops) and
+// ragged buffer reuse. The same discipline is asserted for the batched
+// counterfactual rebids, the utility curve they feed, and the batch-lane
+// mechanism assessment.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -31,7 +32,6 @@ using dls::core::AssessWorkspace;
 using dls::core::CounterfactualMechanism;
 using dls::core::DlsLblResult;
 using dls::core::MechanismConfig;
-using dls::dlt::BatchKernel;
 using dls::dlt::BatchLinearSolver;
 using dls::dlt::CounterfactualSolver;
 using dls::dlt::LinearSolution;
@@ -51,18 +51,17 @@ std::vector<LinearNetwork> random_instances(std::size_t count,
   return nets;
 }
 
-/// Solves `nets` as one batch with `kernel` and asserts every lane and
-/// every extracted solution equals the scalar solver bit-for-bit.
+/// Solves `nets` as one batch and asserts every lane and every
+/// extracted solution equals the scalar solver bit-for-bit.
 void expect_batch_matches_scalar(const std::vector<LinearNetwork>& nets,
-                                 BatchLinearSolver& solver,
-                                 BatchKernel kernel) {
+                                 BatchLinearSolver& solver) {
   const std::size_t n = nets.front().size();
   const std::size_t lanes = nets.size();
   solver.begin(n, lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     solver.set_instance(lane, nets[lane]);
   }
-  solver.solve(kernel);
+  solver.solve();
   solver.evaluate_finish_times();
 
   LinearSolverWorkspace ws;
@@ -98,54 +97,18 @@ TEST(DltBatchTest, BitIdenticalToScalarAcrossChainAndBatchSizes) {
   BatchLinearSolver solver;
   std::uint64_t seed = 11;
   for (const std::size_t n : {1ul, 2ul, 3ul, 5ul, 8ul, 13ul, 31ul, 64ul}) {
-    for (const std::size_t lanes : {1ul, 3ul, 17ul}) {
+    for (const std::size_t lanes :
+         {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 17ul}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " lanes=" + std::to_string(lanes));
-      expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver,
-                                  BatchKernel::kAuto);
+      expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver);
     }
   }
 }
 
 TEST(DltBatchTest, WideBatch256BitIdentical) {
   BatchLinearSolver solver;
-  expect_batch_matches_scalar(random_instances(256, 16, 101), solver,
-                              BatchKernel::kAuto);
-}
-
-TEST(DltBatchTest, ScalarKernelBitIdentical) {
-  // The explicit scalar kernel must match too — this is what the
-  // DLS_SIMD=0 build always runs.
-  BatchLinearSolver solver;
-  expect_batch_matches_scalar(random_instances(17, 9, 23), solver,
-                              BatchKernel::kScalar);
-}
-
-TEST(DltBatchTest, SimdAndScalarKernelsAgreeBitForBit) {
-  if (!dls::dlt::batch_simd_available()) {
-    GTEST_SKIP() << "no SIMD kernels in this build/CPU";
-  }
-  const std::vector<LinearNetwork> nets = random_instances(19, 24, 37);
-  const std::size_t n = nets.front().size();
-  BatchLinearSolver scalar;
-  BatchLinearSolver simd;
-  for (BatchLinearSolver* s : {&scalar, &simd}) {
-    s->begin(n, nets.size());
-    for (std::size_t lane = 0; lane < nets.size(); ++lane) {
-      s->set_instance(lane, nets[lane]);
-    }
-  }
-  scalar.solve(BatchKernel::kScalar);
-  simd.solve(BatchKernel::kSimd);
-  for (std::size_t lane = 0; lane < nets.size(); ++lane) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(scalar.alpha(lane, i), simd.alpha(lane, i));
-      ASSERT_EQ(scalar.alpha_hat(lane, i), simd.alpha_hat(lane, i));
-      ASSERT_EQ(scalar.equivalent_w(lane, i), simd.equivalent_w(lane, i));
-      ASSERT_EQ(scalar.received(lane, i), simd.received(lane, i));
-    }
-    ASSERT_EQ(scalar.makespan(lane), simd.makespan(lane));
-  }
+  expect_batch_matches_scalar(random_instances(256, 16, 101), solver);
 }
 
 TEST(DltBatchTest, SimdAvailabilityImpliesCompiled) {
@@ -162,7 +125,7 @@ TEST(DltBatchTest, DegenerateAndExtremeChains) {
   singletons.emplace_back(std::vector<double>{2.5}, std::vector<double>{});
   singletons.emplace_back(std::vector<double>{1e-6}, std::vector<double>{});
   singletons.emplace_back(std::vector<double>{1e6}, std::vector<double>{});
-  expect_batch_matches_scalar(singletons, solver, BatchKernel::kAuto);
+  expect_batch_matches_scalar(singletons, solver);
   EXPECT_EQ(solver.alpha(0, 0), 1.0);
   EXPECT_EQ(solver.makespan(0), 2.5);
 
@@ -173,12 +136,12 @@ TEST(DltBatchTest, DegenerateAndExtremeChains) {
                      std::vector<double>{1e-6});
   pairs.emplace_back(std::vector<double>{1e6, 1e-6},
                      std::vector<double>{1e6});
-  expect_batch_matches_scalar(pairs, solver, BatchKernel::kAuto);
+  expect_batch_matches_scalar(pairs, solver);
 }
 
 TEST(DltBatchTest, RaggedReuseAcrossShapes) {
   // One solver instance reused across shrinking and growing shapes —
-  // including a final ragged width that is not a SIMD-lane multiple.
+  // including a final ragged width that is not a vector-width multiple.
   BatchLinearSolver solver;
   solver.reserve(64, 256);
   std::uint64_t seed = 900;
@@ -186,8 +149,7 @@ TEST(DltBatchTest, RaggedReuseAcrossShapes) {
        std::vector<std::pair<std::size_t, std::size_t>>{
            {8, 17}, {64, 3}, {2, 256}, {5, 1}, {3, 7}}) {
     SCOPED_TRACE("n=" + std::to_string(n) + " lanes=" + std::to_string(lanes));
-    expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver,
-                                BatchKernel::kAuto);
+    expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver);
   }
 }
 
@@ -199,13 +161,21 @@ TEST(DltBatchTest, ApiMisuseIsRejected) {
   solver.set_instance(0, w, z);
   // Lane 1 never filled.
   EXPECT_THROW(solver.solve(), dls::Error);
-  // Shape and positivity mistakes are caught at set_instance time.
+  // Shape and rate-domain mistakes are caught at set_instance time.
   EXPECT_THROW(solver.set_instance(1, std::vector<double>{1.0, 2.0}, z),
                dls::Error);
   EXPECT_THROW(
       solver.set_instance(1, std::vector<double>{1.0, -2.0, 3.0, 4.0}, z),
       dls::Error);
   EXPECT_THROW(solver.set_instance(2, w, z), dls::Error);
+  // +inf passes a bare `> 0` test; it must be refused here, not surface
+  // from solve() as a lane-audit failure or a NaN lane.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(
+      solver.set_instance(1, std::vector<double>{1.0, inf, 3.0, 4.0}, z),
+      dls::Error);
+  EXPECT_THROW(solver.set_instance(1, w, std::vector<double>{0.1, 0.2, inf}),
+               dls::Error);
 }
 
 TEST(DltBatchTest, LaneAuditorCatchesCorruptedLane) {
@@ -237,21 +207,31 @@ TEST(DltBatchTest, RebidBatchMatchesScalarRebid) {
   Rng rng(5);
   const LinearNetwork net = LinearNetwork::random(12, rng, 0.5, 5.0, 0.1, 0.6);
   CounterfactualSolver solver(net);
-  std::vector<double> bids;
-  for (std::size_t k = 0; k < 33; ++k) bids.push_back(rng.uniform(0.2, 8.0));
-  std::vector<CounterfactualSolver::Rebid> batch(bids.size());
-  for (const std::size_t index : {0ul, 1ul, 6ul, 11ul}) {
-    SCOPED_TRACE("index=" + std::to_string(index));
-    solver.rebid_batch(index, bids, batch);
-    for (std::size_t k = 0; k < bids.size(); ++k) {
-      const CounterfactualSolver::Rebid direct = solver.rebid(index, bids[k]);
-      ASSERT_EQ(batch[k].index, direct.index);
-      ASSERT_EQ(batch[k].bid, direct.bid);
-      ASSERT_EQ(batch[k].alpha, direct.alpha);
-      ASSERT_EQ(batch[k].alpha_hat, direct.alpha_hat);
-      ASSERT_EQ(batch[k].equivalent_w, direct.equivalent_w);
-      ASSERT_EQ(batch[k].alpha_hat_pred, direct.alpha_hat_pred);
-      ASSERT_EQ(batch[k].makespan, direct.makespan);
+  std::vector<double> all_bids;
+  for (std::size_t k = 0; k < 33; ++k) {
+    all_bids.push_back(rng.uniform(0.2, 8.0));
+  }
+  // Bid counts 1..9 cover every remainder of the 4-wide and 2-wide
+  // vector loops; 33 runs several full vectors plus a tail.
+  for (const std::size_t count :
+       {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 33ul}) {
+    const std::span<const double> bids(all_bids.data(), count);
+    std::vector<CounterfactualSolver::Rebid> batch(count);
+    for (const std::size_t index : {0ul, 1ul, 6ul, 11ul}) {
+      SCOPED_TRACE("bids=" + std::to_string(count) +
+                   " index=" + std::to_string(index));
+      solver.rebid_batch(index, bids, batch);
+      for (std::size_t k = 0; k < count; ++k) {
+        const CounterfactualSolver::Rebid direct =
+            solver.rebid(index, bids[k]);
+        ASSERT_EQ(batch[k].index, direct.index);
+        ASSERT_EQ(batch[k].bid, direct.bid);
+        ASSERT_EQ(batch[k].alpha, direct.alpha);
+        ASSERT_EQ(batch[k].alpha_hat, direct.alpha_hat);
+        ASSERT_EQ(batch[k].equivalent_w, direct.equivalent_w);
+        ASSERT_EQ(batch[k].alpha_hat_pred, direct.alpha_hat_pred);
+        ASSERT_EQ(batch[k].makespan, direct.makespan);
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -122,6 +123,19 @@ TEST(CounterfactualSolver, Validation) {
   EXPECT_THROW(solver.rebid(2, 1.0), dls::PreconditionError);
   EXPECT_THROW(solver.rebid(0, 0.0), dls::PreconditionError);
   EXPECT_THROW(solver.rebid(1, -1.0), dls::PreconditionError);
+  // +inf passes a bare `> 0` test; the solvers must refuse it rather
+  // than answer a NaN makespan, and the batch must agree with rebid().
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> inf_first = {inf, 1.0};
+  const std::vector<double> inf_last = {1.0, inf};
+  std::vector<CounterfactualSolver::Rebid> out(2);
+  for (const std::size_t index : {0ul, 1ul}) {  // root and last processor
+    EXPECT_THROW(solver.rebid(index, inf), dls::PreconditionError);
+    EXPECT_THROW(solver.rebid_batch(index, inf_first, out),
+                 dls::PreconditionError);
+    EXPECT_THROW(solver.rebid_batch(index, inf_last, out),
+                 dls::PreconditionError);
+  }
 }
 
 // ---------------------------------------------------------------------

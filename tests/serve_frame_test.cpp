@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <thread>
@@ -237,7 +238,8 @@ TEST(FrameTest, VersionMismatchCarriesThePeersVersion) {
       Frame{FrameType::kScheduleRequest, bytes_of({1, 2})});
   // v1/v2 peers during a rollout, plus a from-the-future version: the
   // typed error must report exactly what the peer announced.
-  for (const std::uint8_t version : {0x00, 0x01, 0x02, 0x7F}) {
+  for (const std::uint8_t version :
+       std::initializer_list<std::uint8_t>{0x00, 0x01, 0x02, 0x7F}) {
     Bytes bad_version = good;
     bad_version[4] = version;
     try {

@@ -148,6 +148,7 @@ def build(entries: List[compiledb.Entry], tmp: Path,
             if dst not in graph.nodes:
                 graph.nodes[dst] = Node(mangled=dst)
     _alias_ctor_clones(graph)
+    _link_target_clones(graph)
     # Demangle every _Z symbol with c++filt and prefer that over GCC's
     # node label: for template instantiations the VCG label is truncated
     # (it starts mid-signature at the parameter list), which would break
@@ -189,6 +190,23 @@ def _alias_ctor_clones(graph: CallGraph) -> None:
             target = alias.get(dst)
             if target and target not in edges:
                 edges[target] = edges[dst]
+
+
+def _link_target_clones(graph: CallGraph) -> None:
+    """A target_clones function (the batch lane kernels) is called
+    through a bodyless ifunc symbol X; GCC emits its bodies as X.default,
+    X.avx2, ... beside the resolver X.resolver. Add an edge from X to
+    every clone so the walk covers the body the loader may bind."""
+    by_base: Dict[str, List[str]] = {}
+    for key in graph.nodes:
+        base, dot, _ = key.rpartition(".")
+        if dot and base in graph.nodes:
+            by_base.setdefault(base, []).append(key)
+    for base, clones in by_base.items():
+        if base + ".resolver" not in clones:
+            continue
+        for clone in sorted(clones):
+            graph.add_edge(base, clone, "target_clones ifunc")
 
 
 def shortest_path(graph: CallGraph, root: str,

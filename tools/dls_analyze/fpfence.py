@@ -1,7 +1,7 @@
 """fp-fence: keep floating-point contraction and FMA out of everything
 except the sanctioned kernel header, and pin the compile flags that make
-the bit-identity story (scalar vs SIMD lanes compared with exact ==)
-actually hold.
+the bit-identity story (batch lanes vs the scalar solver compared with
+exact ==) actually hold.
 
 Three rule groups:
 
@@ -11,9 +11,14 @@ Three rule groups:
            fuse a*b+c on one path but not the other and silently break
            the == audits.
   sources  outside the kernel header, std::fma / __builtin_fma* / FMA
-           intrinsics / `#pragma STDC FP_CONTRACT ON` / direct
-           <immintrin.h> or <arm_neon.h> includes are banned: all SIMD
-           and all re-association lives in dlt/batch_kernels.hpp.
+           intrinsics / `#pragma STDC FP_CONTRACT ON` are banned, and so
+           are the compiler's vectorization hooks — `omp simd`
+           directives and target / target_clones attributes: the lane
+           loops of dlt/batch_kernels.hpp are the only code the compiler
+           is asked to vectorize or clone. Everywhere, the kernel header
+           included, an `omp simd` reduction clause (it licenses
+           re-association) and <immintrin.h> / <arm_neon.h> includes (the
+           kernels are portable loops, not intrinsics) are banned.
   anchors  inside the kernel header the sanctioned left-associated
            spellings of the α̂ recurrence must be present verbatim, and
            kernel-consuming TUs must not re-derive the recurrence inline
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 from . import compiledb, cpplex
 from .report import CheckResult, Finding
@@ -52,6 +57,18 @@ _FMA_INTRIN_RE = re.compile(
     r"\b(?:_mm\d*_f[nm]?m(?:add|sub)\w*|vfma\w*|vfms\w*)\b")
 _PRAGMA_RE = re.compile(r"#\s*pragma\s+STDC\s+FP_CONTRACT\s+ON")
 _SIMD_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](immintrin|arm_neon)\.h[>"]')
+_OMP_PRAGMA_RE = re.compile(r"\s*#\s*pragma\s+omp\b")
+# `_Pragma("omp ...")`, matched on stripped text; the literal's body is
+# read back from the raw text at the same offsets.
+_PRAGMA_OP_RE = re.compile(r'\b_Pragma\s*\(\s*"([^"\n]*)"')
+_SIMD_WORD_RE = re.compile(r"\bsimd\b")
+_REDUCTION_RE = re.compile(r"\breduction\s*\(")
+# Function-multiversioning attributes: target_clones / target_version in
+# any spelling, and target(...) inside __attribute__((...)) or [[gnu::]].
+_TARGET_ATTR_RE = re.compile(
+    r"\b(?:__)?target_(?:clones|version)(?:__)?\b"
+    r"|\bgnu\s*::\s*(?:__)?target(?:__)?\s*\("
+    r"|__attribute__\s*\(\([^;{}]*?\b(?:__)?target(?:__)?\s*\(")
 
 # The exact association-order spellings the kernels and their audits
 # rely on; whitespace-insensitive. If a kernel rewrite drops one of
@@ -61,8 +78,6 @@ KERNEL_ANCHORS = [
     "(w[k] + tail[k]) + z[k]",
     "(w + tail[k]) + z",
     "(bids[k] + tail) + z",
-    "_mm256_add_pd(_mm256_add_pd(wv, tv), zv)",
-    "vaddq_f64(vaddq_f64(wv, tv), zv)",
 ]
 
 # A parenthesized sum ending in a tail-named term, itself summed again:
@@ -74,6 +89,29 @@ _REDERIVE_RE = re.compile(
 
 def _norm(text: str) -> str:
     return re.sub(r"\s+", "", text)
+
+
+def _omp_directives(raw: str, stripped: str) -> List[Tuple[int, str]]:
+    """(line, directive text) of every OpenMP directive: `#pragma omp`
+    lines with backslash continuations joined, and `_Pragma("omp ...")`
+    operators."""
+    out: List[Tuple[int, str]] = []
+    lines = stripped.splitlines()
+    i = 0
+    while i < len(lines):
+        start, text = i, lines[i]
+        while text.rstrip().endswith("\\") and i + 1 < len(lines):
+            i += 1
+            text = text.rstrip()[:-1] + " " + lines[i]
+        m = _OMP_PRAGMA_RE.match(text)
+        if m:
+            out.append((start + 1, text[m.end():]))
+        i += 1
+    for m in _PRAGMA_OP_RE.finditer(stripped):
+        body = raw[m.start(1):m.end(1)]
+        if re.match(r"\s*omp\b", body):
+            out.append((stripped.count("\n", 0, m.start()) + 1, body))
+    return sorted(out)
 
 
 def run(src_root: str, entries: List[compiledb.Entry]) -> CheckResult:
@@ -116,14 +154,42 @@ def run(src_root: str, entries: List[compiledb.Entry]) -> CheckResult:
         raw = path.read_text(encoding="utf-8", errors="replace")
         stripped = cpplex.strip_comments_and_strings(raw)
         in_kernel = rel_path == KERNEL_HEADER
+        for lineno, directive in _omp_directives(raw, stripped):
+            if not _SIMD_WORD_RE.search(directive):
+                continue
+            if _REDUCTION_RE.search(directive):
+                res.findings.append(Finding(
+                    "fp-fence", "error", rel, lineno,
+                    "omp simd with a reduction clause licenses "
+                    "re-association — the vector clone's partial sums "
+                    "round differently from the scalar reference the "
+                    "audits replay"))
+            elif not in_kernel:
+                res.findings.append(Finding(
+                    "fp-fence", "error", rel, lineno,
+                    f"omp simd directive outside {KERNEL_HEADER}; the "
+                    "lane loops there are the only code the compiler is "
+                    "asked to vectorize"))
         for lineno, line in enumerate(stripped.splitlines(), start=1):
             if _PRAGMA_RE.search(line):
                 res.findings.append(Finding(
                     "fp-fence", "error", rel, lineno,
                     "#pragma STDC FP_CONTRACT ON re-enables fusion the "
                     "build globally disabled"))
+            if _SIMD_INCLUDE_RE.search(line):
+                res.findings.append(Finding(
+                    "fp-fence", "error", rel, lineno,
+                    "SIMD intrinsics header included; the lane kernels "
+                    f"in {KERNEL_HEADER} are portable loops the compiler "
+                    "vectorizes, with one spelling each"))
             if in_kernel:
                 continue
+            if _TARGET_ATTR_RE.search(line):
+                res.findings.append(Finding(
+                    "fp-fence", "error", rel, lineno,
+                    "target/target_clones attribute outside "
+                    f"{KERNEL_HEADER}; ISA-specific clones of a function "
+                    "are confined to the lane kernels"))
             for pat, what in ((_FMA_CALL_RE, "fma() call"),
                               (_FMA_BUILTIN_RE, "__builtin_fma*"),
                               (_FMA_INTRIN_RE, "FMA intrinsic")):
@@ -133,11 +199,6 @@ def run(src_root: str, entries: List[compiledb.Entry]) -> CheckResult:
                         f"{what} outside {KERNEL_HEADER} — fused rounding "
                         "diverges from the scalar reference the audits "
                         "replay"))
-            if _SIMD_INCLUDE_RE.search(line):
-                res.findings.append(Finding(
-                    "fp-fence", "error", rel, lineno,
-                    f"SIMD intrinsics header included outside "
-                    f"{KERNEL_HEADER}; all lane kernels live there"))
 
         if rel_path.parts[:1] == ("dlt",) and \
                 rel_path not in SANCTIONED_SOURCES:

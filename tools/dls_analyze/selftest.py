@@ -3,7 +3,8 @@
 
 Each fixture under tools/dls_analyze/fixtures/ plants exactly one
 discipline violation (an allocation on an annotated hot path, a lock
-inversion, a stray fma). A healthy analyzer must exit 1 on every one of
+inversion, a stray fma, a re-associating `omp simd` reduction). A
+healthy analyzer must exit 1 on every one of
 them AND say why with a pointed diagnostic — this is the regression
 guard against the failure mode static checkers actually die of:
 silently going green.
@@ -108,8 +109,24 @@ def case_planted_fma(tmp: Path) -> list[str]:
     ])
 
 
+def case_planted_simd_reduction(tmp: Path) -> list[str]:
+    src_root = FIXTURES / "planted_simd_reduction" / "src"
+    build = tmp / "planted_simd_reduction"
+    build.mkdir()
+    _write_compiledb(build, [src_root / "lane_sum.cpp"], ["-fopenmp-simd"])
+    proc = _run_analyzer(["--checks", "fpfence",
+                          "--build-dir", str(build),
+                          "--src", str(src_root),
+                          "--waivers", ""])
+    return _expect("planted_simd_reduction", proc, [
+        "omp simd with a reduction clause",
+        "lane_sum.cpp",
+    ])
+
+
 def main() -> int:
-    cases = [case_planted_alloc, case_planted_inversion, case_planted_fma]
+    cases = [case_planted_alloc, case_planted_inversion, case_planted_fma,
+             case_planted_simd_reduction]
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="dls_selftest_") as tmp_str:
         tmp = Path(tmp_str)
