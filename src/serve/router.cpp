@@ -26,7 +26,11 @@ ShardRouter::ShardRouter(RouterConfig config)
     : config_(std::move(config)),
       map_(config_.shard_count, ShardMapConfig{config_.vnodes}),
       consecutive_failures_(config_.shard_count, 0),
-      probe_attempts_(config_.shard_count, 0) {
+      probe_attempts_(config_.shard_count, 0),
+      sessions_(config_.poison_budget, config_.resync_scan_bytes,
+                [this](Session& session, const Frame& frame) {
+                  on_frame(session, frame);
+                }) {
   DLS_REQUIRE(config_.shard_count >= 1, "router needs at least one shard");
   DLS_REQUIRE(config_.connect != nullptr,
               "router needs a shard connect factory");
@@ -42,34 +46,20 @@ ShardRouter::ShardRouter(RouterConfig config)
 ShardRouter::~ShardRouter() { stop(); }
 
 PipeEnd ShardRouter::connect() {
-  Pipe pipe = make_pipe();
-  adopt(std::make_unique<PipeEnd>(std::move(pipe.a)));
-  return std::move(pipe.b);
+  return sessions_.connect(std::make_unique<BackendLinks>(config_.shard_count));
 }
 
 void ShardRouter::adopt(std::unique_ptr<Transport> transport) {
-  DLS_REQUIRE(transport != nullptr, "adopt() needs a transport");
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  DLS_REQUIRE(accepting_, "adopt()/connect() on a stopped router");
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
+  sessions_.adopt(std::move(transport),
+                  std::make_unique<BackendLinks>(config_.shard_count));
+}
+
+void ShardRouter::BackendLinks::close() noexcept {
+  std::lock_guard<std::mutex> lock(links_mutex);
+  closed = true;
+  for (const auto& link : links) {
+    if (link) link->close();
   }
-  auto session = std::make_unique<Session>();
-  session->end = std::move(transport);
-  session->backends.resize(config_.shard_count);
-  session->backend_next_id.assign(config_.shard_count, 1);
-  Session* raw = session.get();
-  session->reader = std::thread([this, raw] {
-    session_loop(raw);
-    raw->done.store(true, std::memory_order_release);
-  });
-  sessions_.push_back(std::move(session));
-  DLS_COUNT("serve.shard.router_sessions");
 }
 
 void ShardRouter::stop() {
@@ -80,23 +70,10 @@ void ShardRouter::stop() {
   }
   health_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    accepting_ = false;
-    sessions.swap(sessions_);
-  }
-  // Closing the client end unblocks the reader's frame read; closing
-  // the backends unblocks a reader parked inside a forward round trip.
-  for (auto& session : sessions) {
-    session->end->close();
-    for (auto& backend : session->backends) {
-      if (backend) backend->close();
-    }
-  }
-  for (auto& session : sessions) {
-    if (session->reader.joinable()) session->reader.join();
-  }
+  // Closing a client end unblocks its reader's frame read; closing its
+  // backend links unblocks a reader parked inside a forward round trip
+  // and keeps it from dialling the next owner.
+  sessions_.stop();
 }
 
 RouterStats ShardRouter::stats() const {
@@ -142,77 +119,50 @@ void ShardRouter::set_alive(std::size_t shard, bool alive) {
   health_cv_.notify_all();
 }
 
-void ShardRouter::session_loop(Session* session) {
-  std::size_t poison = 0;
-  try {
-    for (;;) {
-      std::size_t skipped = 0;
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame_resync(*session->end, config_.resync_scan_bytes,
-                                  &skipped);
-      } catch (const FrameTruncationError&) {
-        return;  // peer vanished mid-frame
-      } catch (const FrameChecksumError&) {
-        ++poison;
-        DLS_COUNT("serve.shard.poison_frames");
-        if (poison > config_.poison_budget) {
-          session->end->close();
-          return;
-        }
-        continue;
-      } catch (const codec::DecodeError&) {
-        session->end->close();  // resync gave up: quarantine
-        return;
-      }
-      if (skipped > 0) {
-        ++poison;
-        DLS_COUNT("serve.shard.poison_frames");
-        if (poison > config_.poison_budget) {
-          session->end->close();
-          return;
-        }
-      }
-      if (!frame) return;  // clean EOF
-      if (frame->type != FrameType::kScheduleRequest) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = "unexpected frame type '" + to_string(frame->type) +
-                        "' (expected schedule_request)";
-        send_response(session, refusal);
-        continue;
-      }
-      // Verbatim fast path: a payload byte-identical (modulo id) to
-      // one already answered inline replays the cached encoding before
-      // any decode work happens. Only inline answers fill the replay
-      // tiers, so without the inline path there is nothing to look up.
-      if (config_.replay_cache_capacity > 0 && inline_enabled() &&
-          try_replay(session, frame->payload)) {
-        continue;
-      }
-      ScheduleRequest request;
-      try {
-        request = decode_schedule_request(frame->payload);
-      } catch (const codec::DecodeError& e) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = e.what();
-        send_response(session, refusal);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.received;
-      }
-      DLS_COUNT("serve.shard.requests");
-      handle_request(session, request, frame->payload);
+void ShardRouter::on_frame(Session& session, const Frame& frame) {
+  if (frame.type == FrameType::kMultiScheduleRequest) {
+    // Multi-load forwarding is not implemented: refuse in the request's
+    // own kind, under its id when the payload decodes.
+    std::uint64_t id = 0;
+    std::string error = "the router does not forward multi-load requests";
+    try {
+      id = decode_multi_schedule_request(frame.payload).request_id;
+    } catch (const codec::DecodeError& e) {
+      error = e.what();
     }
-  } catch (const TransportError&) {
-    // Client connection died; nothing to salvage.
+    send_refusal(session, /*multi=*/true, id, ScheduleStatus::kError,
+                 std::move(error));
+    return;
   }
+  if (frame.type != FrameType::kScheduleRequest) {
+    send_refusal(session, /*multi=*/false, 0, ScheduleStatus::kError,
+                 unexpected_frame_type(frame.type));
+    return;
+  }
+  // Verbatim fast path: a payload byte-identical (modulo id) to one
+  // already answered inline replays the cached encoding before any
+  // decode work happens. Only inline answers fill the replay tiers, so
+  // without the inline path there is nothing to look up.
+  if (config_.replay_cache_capacity > 0 && inline_enabled() &&
+      try_replay(session, frame.payload)) {
+    return;
+  }
+  ScheduleRequest request;
+  try {
+    request = decode_schedule_request(frame.payload);
+  } catch (const codec::DecodeError& e) {
+    send_refusal(session, /*multi=*/false, 0, ScheduleStatus::kError, e.what());
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.received;
+  }
+  DLS_COUNT("serve.shard.requests");
+  handle_request(session, request, frame.payload);
 }
 
-bool ShardRouter::try_replay(Session* session,
+bool ShardRouter::try_replay(Session& session,
                              std::span<const std::uint8_t> payload) {
   const std::span<const std::uint8_t> key =
       schedule_request_replay_key(payload);
@@ -265,11 +215,7 @@ bool ShardRouter::try_replay(Session* session,
   } else {
     DLS_COUNT("serve.shard.replays_verbatim");
   }
-  try {
-    session->end->write(wire);
-  } catch (const TransportError&) {
-    // The client hung up before its answer landed; nothing to do.
-  }
+  session.send(wire);
   return true;
 }
 
@@ -316,7 +262,7 @@ void ShardRouter::store_verbatim(std::span<const std::uint8_t> payload,
   verbatim_cache_.emplace(std::move(owned), wire);
 }
 
-void ShardRouter::handle_request(Session* session,
+void ShardRouter::handle_request(Session& session,
                                  const ScheduleRequest& request,
                                  std::span<const std::uint8_t> payload) {
   // Malformed instances hash over the full request encoding instead:
@@ -334,18 +280,15 @@ void ShardRouter::handle_request(Session* session,
     owners = map_.owners(key, config_.replication);
   }
   if (owners.empty()) {
-    ScheduleResponse refusal;
-    refusal.request_id = request.request_id;
-    refusal.status = ScheduleStatus::kDegraded;
-    refusal.error = "no alive shard owns this key";
-    refusal.retry_after_us = config_.degraded_retry_after_us;
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.no_owner;
       ++stats_.refused;
     }
     DLS_COUNT("serve.shard.no_owner");
-    send_response(session, refusal);
+    send_refusal(session, /*multi=*/false, request.request_id,
+                 ScheduleStatus::kDegraded, "no alive shard owns this key",
+                 config_.degraded_retry_after_us);
     return;
   }
   // Colocated fast path: with no replication to cross-check, a
@@ -373,18 +316,15 @@ void ShardRouter::handle_request(Session* session,
       if (config_.replay_cache_capacity > 0) {
         store_replay(payload, frame.payload, wire);
       }
-      try {
-        session->end->write(wire);
-      } catch (const TransportError&) {
-        // The client hung up before its answer landed; nothing to do.
-      }
+      session.send(wire);
       return;
     }
   }
+  auto& backends = static_cast<BackendLinks&>(*session.state);
   std::vector<ForwardResult> results;
   results.reserve(owners.size());
   for (const std::size_t shard : owners) {
-    results.push_back(forward(session, shard, payload));
+    results.push_back(forward(backends, shard, payload));
   }
   const ScheduleResponse merged = merge(request, results);
   {
@@ -395,29 +335,43 @@ void ShardRouter::handle_request(Session* session,
       ++stats_.refused;
     }
   }
-  send_response(session, merged);
+  session.send(merged);
 }
 
 ShardRouter::ForwardResult ShardRouter::forward(
-    Session* session, std::size_t shard,
+    BackendLinks& backends, std::size_t shard,
     std::span<const std::uint8_t> payload) {
   ForwardResult result;
-  Transport* link = session->backends[shard].get();
+  Transport* link = backends.links[shard].get();
   if (link == nullptr || !link->valid()) {
-    try {
-      session->backends[shard] = config_.connect(shard);
-      link = session->backends[shard].get();
-    } catch (const dls::Error&) {
-      link = nullptr;
+    // Dial outside the links lock (a dial enters the shard's own
+    // session core) and install only while the links are open, so
+    // stop() never misses a link or waits out a fresh one's timeout.
+    {
+      std::lock_guard<std::mutex> lock(backends.links_mutex);
+      if (backends.closed) return result;
     }
-    if (link == nullptr) {
+    std::unique_ptr<Transport> fresh;
+    try {
+      fresh = config_.connect(shard);
+    } catch (const dls::Error&) {
+      fresh = nullptr;
+    }
+    if (fresh == nullptr) {
       note_forward_failure(shard);
       return result;
     }
+    std::lock_guard<std::mutex> lock(backends.links_mutex);
+    if (backends.closed) {
+      fresh->close();
+      return result;
+    }
+    backends.links[shard] = std::move(fresh);
+    link = backends.links[shard].get();
   }
   // The client's encoding goes on unchanged apart from the id: this
   // link numbers its own requests so stale replies can be told apart.
-  const std::uint64_t forward_id = session->backend_next_id[shard]++;
+  const std::uint64_t forward_id = backends.next_id[shard]++;
   Frame frame;
   frame.type = FrameType::kScheduleRequest;
   frame.payload.assign(payload.begin(), payload.end());
@@ -449,8 +403,11 @@ ShardRouter::ForwardResult ShardRouter::forward(
   }
   // Wire trouble: drop the link so the next request redials, and count
   // the failure against the shard's heartbeat retry budget.
-  session->backends[shard]->close();
-  session->backends[shard].reset();
+  {
+    std::lock_guard<std::mutex> lock(backends.links_mutex);
+    backends.links[shard]->close();
+    backends.links[shard].reset();
+  }
   note_forward_failure(shard);
   return result;
 }
@@ -538,18 +495,6 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
   }
   merged.request_id = request.request_id;
   return merged;
-}
-
-void ShardRouter::send_response(Session* session,
-                                const ScheduleResponse& response) {
-  try {
-    Frame frame;
-    frame.type = FrameType::kScheduleResponse;
-    frame.payload = encode_schedule_response(response);
-    write_frame(*session->end, frame);
-  } catch (const TransportError&) {
-    // The client hung up before its answer landed; nothing to do.
-  }
 }
 
 void ShardRouter::note_forward_failure(std::size_t shard) {

@@ -10,7 +10,7 @@
 //         (colocated shard)          │
 //                               health monitor (heartbeat-style probes)
 //
-//  * Each client connection gets a reader thread and lazy backend links.
+//  * Sessions run on the session core (session.hpp) with lazy backend links.
 //  * A request's owners are the first R distinct alive shards clockwise
 //    from its canonical_topology_key ring position (shard.hpp). The
 //    primary owner's colocated service (RouterConfig::local) answers
@@ -29,7 +29,6 @@
 // Metrics (serve.shard.* / serve.quorum.*): see docs/OBSERVABILITY.md.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,6 +48,7 @@
 #include "protocol/recovery.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service.hpp"
+#include "serve/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/transport.hpp"
 
@@ -83,7 +83,8 @@ struct RouterConfig {
   /// Retry-after hint (µs) on router-originated kDegraded refusals
   /// (no alive owner / every forward failed).
   double degraded_retry_after_us = 2000.0;
-  /// Client-facing framing discipline, mirroring ServiceConfig.
+  /// Client-facing framing discipline (the session core's), mirroring
+  /// ServiceConfig.
   std::size_t poison_budget = 8;
   std::size_t resync_scan_bytes = 65536;
   /// Ring granularity (ShardMapConfig::vnodes).
@@ -157,13 +158,20 @@ class ShardRouter {
   void set_alive(std::size_t shard, bool alive);
 
  private:
-  struct Session {
-    std::unique_ptr<Transport> end;
-    std::thread reader;
-    std::atomic<bool> done{false};
-    /// Lazily-opened backend link per shard, private to this session.
-    std::vector<std::unique_ptr<Transport>> backends;
-    std::vector<std::uint64_t> backend_next_id;
+  /// A client session's backend links, one lazily dialled per shard.
+  /// Only the session's reader dials, installs and drops a link, so it
+  /// reads its own links without locking; `links_mutex` orders those
+  /// changes against close(), which stop() calls to wake a reader parked
+  /// in a forward round trip, and after which no link is installed again.
+  struct BackendLinks final : SessionState {
+    explicit BackendLinks(std::size_t shards)
+        : links(shards), next_id(shards, 1) {}
+    void close() noexcept override;
+
+    std::mutex links_mutex;  ///< guards link install, drop and close
+    bool closed = false;
+    std::vector<std::unique_ptr<Transport>> links;
+    std::vector<std::uint64_t> next_id;  ///< per-link request ids
   };
 
   /// One shard's reply to a forwarded request, or why it has none.
@@ -175,15 +183,16 @@ class ShardRouter {
     codec::Bytes normalized;
   };
 
-  void session_loop(Session* session);
+  /// The session core's per-frame hook. Multi-load requests are not
+  /// forwarded: they get a typed kError in their own response kind.
+  void on_frame(Session& session, const Frame& frame);
   /// `payload` is the raw encoded request (for the replay byte-cache).
-  void handle_request(Session* session, const ScheduleRequest& request,
+  void handle_request(Session& session, const ScheduleRequest& request,
                       std::span<const std::uint8_t> payload);
   /// Answers a request frame from the replay byte-cache when an
   /// identical payload (modulo request_id) was served inline before.
   /// Returns true when the response went out.
-  bool try_replay(Session* session,
-                  std::span<const std::uint8_t> payload);
+  bool try_replay(Session& session, std::span<const std::uint8_t> payload);
   /// Stores an inline answer under both replay tiers: the response
   /// payload `encoded` under the request's id-less suffix, and the
   /// complete response frame `wire` under the whole request payload.
@@ -195,8 +204,9 @@ class ShardRouter {
   /// Sends the encoded request `payload` to `shard` on the session's
   /// backend link, under the link's next request id, and blocks for the
   /// reply. A wire/decode failure drops the link (next request
-  /// reconnects) and counts against the shard's retry budget.
-  ForwardResult forward(Session* session, std::size_t shard,
+  /// reconnects) and counts against the shard's retry budget. Once the
+  /// links are closed nothing is dialled: the result is undelivered.
+  ForwardResult forward(BackendLinks& backends, std::size_t shard,
                         std::span<const std::uint8_t> payload);
   /// The colocated inline path (and so the replay tiers it fills) runs
   /// only without replication and with in-process shards.
@@ -206,7 +216,6 @@ class ShardRouter {
   /// Merges the owners' replies per the quorum/backpressure policy.
   ScheduleResponse merge(const ScheduleRequest& request,
                          const std::vector<ForwardResult>& results);
-  void send_response(Session* session, const ScheduleResponse& response);
 
   void note_forward_failure(std::size_t shard);
   void note_forward_success(std::size_t shard);
@@ -220,10 +229,6 @@ class ShardRouter {
   std::vector<std::size_t> probe_attempts_;  ///< per dead shard
   std::condition_variable health_cv_;
   bool stopping_ = false;
-
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  bool accepting_ = true;
 
   mutable std::mutex stats_mutex_;
   RouterStats stats_;
@@ -260,6 +265,7 @@ class ShardRouter {
       verbatim_cache_;
   std::deque<std::string> verbatim_fifo_;
 
+  SessionCore sessions_;
   std::thread monitor_;
 };
 

@@ -19,6 +19,19 @@ double elapsed_us(std::chrono::steady_clock::time_point since,
   return std::chrono::duration<double, std::micro>(now - since).count();
 }
 
+/// The kOk answer a solution gives: bit-identical whether the solution
+/// came from the cache, a fresh solve or a batch lane.
+ScheduleResponse solved(std::uint64_t request_id,
+                        const dlt::LinearSolution& solution, bool cache_hit) {
+  ScheduleResponse response;
+  response.request_id = request_id;
+  response.status = ScheduleStatus::kOk;
+  response.cache_hit = cache_hit;
+  response.alpha = solution.alpha;
+  response.makespan = solution.makespan;
+  return response;
+}
+
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig config,
@@ -26,7 +39,11 @@ SchedulerService::SchedulerService(ServiceConfig config,
     : config_(config),
       pool_(pool != nullptr ? pool : &exec::ThreadPool::global()),
       cache_(config.cache_capacity),
-      paused_(config.start_paused) {
+      paused_(config.start_paused),
+      sessions_(config.poison_budget, config.resync_scan_bytes,
+                [this](Session& session, const Frame& frame) {
+                  on_frame(session, frame);
+                }) {
   DLS_REQUIRE(config_.queue_capacity >= 1,
               "service needs a queue of at least one request");
   DLS_REQUIRE(config_.max_batch >= 1, "max_batch must be at least 1");
@@ -35,62 +52,23 @@ SchedulerService::SchedulerService(ServiceConfig config,
 
 SchedulerService::~SchedulerService() { stop(); }
 
-PipeEnd SchedulerService::connect() {
-  Pipe pipe = make_pipe();
-  adopt(std::make_unique<PipeEnd>(std::move(pipe.a)));
-  return std::move(pipe.b);
-}
+PipeEnd SchedulerService::connect() { return sessions_.connect(); }
 
 void SchedulerService::adopt(std::unique_ptr<Transport> transport) {
-  DLS_REQUIRE(transport != nullptr, "adopt() needs a transport");
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  DLS_REQUIRE(accepting_, "adopt()/connect() on a stopped service");
-  // Reap sessions whose reader has already returned (peer hung up or
-  // was quarantined) so reconnect storms don't accumulate dead threads
-  // for the lifetime of the service.
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire) &&
-        (*it)->pending.load(std::memory_order_acquire) == 0) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  auto session = std::make_unique<Session>();
-  session->end = std::move(transport);
-  Session* raw = session.get();
-  session->reader = std::thread([this, raw] {
-    session_loop(raw);
-    raw->done.store(true, std::memory_order_release);
-  });
-  sessions_.push_back(std::move(session));
-  DLS_COUNT("serve.sessions");
+  sessions_.adopt(std::move(transport));
 }
 
 bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
                                         ScheduleResponse& response) {
-  if (request.options.want_payments) return false;
   // Deadline accounting is admission-relative and owned by the framed
   // path; serving such a request inline could answer where handle()
   // would expire it, so any effective deadline declines the fast path.
-  double deadline_us = request.options.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0) return false;
-  codec::Bytes key;
+  if (deadline_of(request.options.deadline_us) > 0.0) return false;
   try {
-    key = canonical_topology_key(request.w, request.z);
+    if (!answer_from_cache(request, response)) return false;
   } catch (const dls::Error&) {
     return false;  // malformed instance: the framed path owns kError
   }
-  const SolveCache::Value solution = cache_.lookup(key);
-  if (!solution) return false;
-  response = ScheduleResponse{};
-  response.request_id = request.request_id;
-  response.status = ScheduleStatus::kOk;
-  response.cache_hit = true;
-  response.alpha = solution->alpha;
-  response.makespan = solution->makespan;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.inline_hits;
@@ -114,157 +92,71 @@ void SchedulerService::resume() {
 
 void SchedulerService::stop() {
   {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    accepting_ = false;
-  }
-  {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     stopping_ = true;
     paused_ = false;
   }
   queue_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Closing the server ends unblocks every reader (EOF) and makes any
-  // late response write throw, which send_response absorbs.
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.swap(sessions_);
-  }
-  for (auto& session : sessions) session->end->close();
-  for (auto& session : sessions) {
-    if (session->reader.joinable()) session->reader.join();
-  }
+  // The dispatcher answered everything queued; only now close the
+  // connections (unblocking every reader with EOF). A reader still
+  // admitting meanwhile is shed, since stopping_ is set.
+  sessions_.stop();
 }
 
 ServiceStats SchedulerService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-void SchedulerService::session_loop(Session* session) {
-  std::size_t poison = 0;
-  try {
-    for (;;) {
-      std::size_t skipped = 0;
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame_resync(*session->end, config_.resync_scan_bytes,
-                                  &skipped);
-      } catch (const FrameTruncationError&) {
-        // Peer vanished mid-frame (torn write / silent disconnect):
-        // the connection is dead, nothing to salvage.
-        return;
-      } catch (const FrameChecksumError&) {
-        // Payload corrupted in flight, but the announced length was
-        // fully consumed so the stream is still frame-aligned: a
-        // poison frame, not a dead connection.
-        ++poison;
-        DLS_COUNT("serve.fault.checksum_mismatches");
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.poison_frames;
-        }
-        if (poison > config_.poison_budget) {
-          quarantine(session);
-          return;
-        }
-        continue;
-      } catch (const codec::DecodeError&) {
-        // The resync scan gave up (budget exhausted or the stream died
-        // while hunting): this peer is sending garbage, not frames.
-        quarantine(session);
-        return;
-      }
-      if (skipped > 0) {
-        // A malformed header was skipped over: count the poison frame
-        // and quarantine peers that keep sending them.
-        ++poison;
-        DLS_COUNT("serve.fault.poison_frames");
-        DLS_COUNT("serve.fault.resync_bytes", skipped);
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.poison_frames;
-        }
-        if (poison > config_.poison_budget) {
-          quarantine(session);
-          return;
-        }
-      }
-      if (!frame) return;  // clean EOF: the client hung up
-      if (frame->type == FrameType::kMultiScheduleRequest) {
-        MultiScheduleRequest request;
-        try {
-          request = decode_multi_schedule_request(frame->payload);
-        } catch (const codec::DecodeError& e) {
-          MultiScheduleResponse refusal;
-          refusal.status = ScheduleStatus::kError;
-          refusal.error = e.what();
-          count_multi_response(refusal);
-          send_multi_response(session, refusal);
-          continue;
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.received;
-          ++stats_.multi_received;
-        }
-        DLS_COUNT("serve.multi.requests");
-        Pending pending;
-        pending.multi = std::move(request);
-        pending.session = session;
-        admit(std::move(pending));
-        continue;
-      }
-      if (frame->type != FrameType::kScheduleRequest) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = "unexpected frame type '" + to_string(frame->type) +
-                        "' (expected schedule_request)";
-        count_response(refusal);
-        send_response(session, refusal);
-        continue;
-      }
-      ScheduleRequest request;
-      try {
-        request = decode_schedule_request(frame->payload);
-      } catch (const codec::DecodeError& e) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = e.what();
-        count_response(refusal);
-        send_response(session, refusal);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.received;
-      }
-      DLS_COUNT("serve.requests");
-      Pending pending;
-      pending.request = std::move(request);
-      pending.session = session;
-      admit(std::move(pending));
-    }
-  } catch (const TransportError&) {
-    // Peer vanished; the connection is dead either way.
-  }
-}
-
-void SchedulerService::quarantine(Session* session) {
+  ServiceStats stats;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.quarantined;
+    stats = stats_;
   }
-  DLS_COUNT("serve.quarantined");
-  // Closing only this connection tears down the poisoned peer without
-  // touching the dispatcher or any other session; the client observes
-  // EOF for anything it still believes is in flight.
-  session->end->close();
+  stats.poison_frames = sessions_.poison_frames();
+  stats.quarantined = sessions_.quarantined();
+  return stats;
 }
 
-bool SchedulerService::try_brownout(const ScheduleRequest& request,
-                                    Session* session) {
+void SchedulerService::on_frame(Session& session, const Frame& frame) {
+  Pending pending;
+  pending.session = &session;
+  const bool multi = frame.type == FrameType::kMultiScheduleRequest;
+  // Engaged before decoding, so an undecodable multi-load payload is
+  // refused in its own kind (under id 0: the id was not readable).
+  if (multi) pending.multi.emplace();
+  try {
+    if (multi) {
+      *pending.multi = decode_multi_schedule_request(frame.payload);
+    } else if (frame.type == FrameType::kScheduleRequest) {
+      pending.request = decode_schedule_request(frame.payload);
+    } else {
+      refuse(pending, ScheduleStatus::kError,
+             unexpected_frame_type(frame.type));
+      return;
+    }
+  } catch (const codec::DecodeError& e) {
+    refuse(pending, ScheduleStatus::kError, e.what());
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.received;
+    if (multi) ++stats_.multi_received;
+  }
+  DLS_COUNT("serve.requests");
+  if (multi) DLS_COUNT("serve.multi.requests");
+  admit(std::move(pending));
+}
+
+bool SchedulerService::answer_from_cache(const ScheduleRequest& request,
+                                         ScheduleResponse& response) {
+  if (request.options.want_payments) return false;
+  const SolveCache::Value solution =
+      cache_.lookup(canonical_topology_key(request.w, request.z));
+  if (!solution) return false;
+  response = solved(request.request_id, *solution, /*cache_hit=*/true);
+  return true;
+}
+
+bool SchedulerService::try_brownout(const Pending& pending) {
   if (config_.brownout_watermark == 0) return false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -273,68 +165,29 @@ bool SchedulerService::try_brownout(const ScheduleRequest& request,
   // Above the watermark the solver pool is the bottleneck, so answer
   // what the cache already knows inline from the reader thread (the
   // bytes are identical to a queued solve) and refuse the rest with a
-  // typed hint instead of letting the queue shed blindly.
+  // typed hint instead of letting the queue shed blindly. Payments need
+  // the full mechanism run and a multi-load answer depends on the whole
+  // load mix, so neither is ever served from the cache.
   DLS_SPAN("serve.brownout");
-  if (!request.options.want_payments) {
-    const codec::Bytes key = canonical_topology_key(request.w, request.z);
-    if (const SolveCache::Value solution = cache_.lookup(key)) {
-      ScheduleResponse response;
-      response.request_id = request.request_id;
-      response.status = ScheduleStatus::kOk;
-      response.cache_hit = true;
-      response.alpha = solution->alpha;
-      response.makespan = solution->makespan;
-      DLS_COUNT("serve.brownout.cache_hits");
-      count_response(response);
-      send_response(session, response);
-      return true;
-    }
+  ScheduleResponse response;
+  if (!pending.multi && answer_from_cache(pending.request, response)) {
+    DLS_COUNT("serve.brownout.cache_hits");
+    answer(*pending.session, response);
+    return true;
   }
-  // Payments need the full mechanism run, never just cached bytes, so
-  // want_payments traffic always degrades during a brown-out.
-  ScheduleResponse degraded;
-  degraded.request_id = request.request_id;
-  degraded.status = ScheduleStatus::kDegraded;
-  degraded.error = "service degraded: queue above brown-out watermark";
-  degraded.retry_after_us = config_.degraded_retry_after_us;
-  count_response(degraded);
-  send_response(session, degraded);
-  return true;
-}
-
-bool SchedulerService::try_brownout_multi(const MultiScheduleRequest& request,
-                                          Session* session) {
-  if (config_.brownout_watermark == 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() < config_.brownout_watermark) return false;
-  }
-  // No cache fast path here: a multi-load answer depends on the whole
-  // load mix, never on topology alone, so brown-out always refuses
-  // with the typed hint.
-  DLS_SPAN("serve.brownout");
-  MultiScheduleResponse degraded;
-  degraded.request_id = request.request_id;
-  degraded.status = ScheduleStatus::kDegraded;
-  degraded.error = "service degraded: queue above brown-out watermark";
-  degraded.retry_after_us = config_.degraded_retry_after_us;
-  count_multi_response(degraded);
-  send_multi_response(session, degraded);
+  refuse(pending, ScheduleStatus::kDegraded,
+         "service degraded: queue above brown-out watermark",
+         config_.degraded_retry_after_us);
   return true;
 }
 
 void SchedulerService::admit(Pending pending) {
-  if (pending.multi) {
-    if (try_brownout_multi(*pending.multi, pending.session)) return;
-  } else if (try_brownout(pending.request, pending.session)) {
-    return;
-  }
-  Session* session = pending.session;
+  if (try_brownout(pending)) return;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (!stopping_ && queue_.size() < config_.queue_capacity) {
-      session->pending.fetch_add(1, std::memory_order_relaxed);
-      pending.admitted_at = std::chrono::steady_clock::now();
+      pending.session->pending.fetch_add(1, std::memory_order_relaxed);
+      pending.admitted_at = Clock::now();
       queue_.push_back(std::move(pending));
       DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queue_.size()));
       {
@@ -347,19 +200,16 @@ void SchedulerService::admit(Pending pending) {
   }
   // Explicit backpressure: the client learns immediately and retries
   // with backoff instead of waiting on a silently growing queue.
-  if (pending.multi) {
-    MultiScheduleResponse shed;
-    shed.request_id = pending.multi->request_id;
-    shed.status = ScheduleStatus::kShed;
-    count_multi_response(shed);
-    send_multi_response(session, shed);
-    return;
-  }
-  ScheduleResponse shed;
-  shed.request_id = pending.request.request_id;
-  shed.status = ScheduleStatus::kShed;
-  count_response(shed);
-  send_response(session, shed);
+  refuse(pending, ScheduleStatus::kShed);
+}
+
+bool SchedulerService::expired(const Pending& pending,
+                               Clock::time_point now) const {
+  const double deadline_us =
+      deadline_of(pending.multi ? pending.multi->deadline_us
+                                : pending.request.options.deadline_us);
+  return deadline_us > 0.0 &&
+         elapsed_us(pending.admitted_at, now) > deadline_us;
 }
 
 void SchedulerService::dispatch_loop() {
@@ -397,21 +247,8 @@ void SchedulerService::dispatch_loop() {
     rest.swap(queue_);
   }
   for (const Pending& pending : rest) {
-    if (pending.multi) {
-      MultiScheduleResponse refusal;
-      refusal.request_id = pending.multi->request_id;
-      refusal.status = ScheduleStatus::kError;
-      refusal.error = "service stopped before the request was served";
-      count_multi_response(refusal);
-      send_multi_response(pending.session, refusal);
-    } else {
-      ScheduleResponse refusal;
-      refusal.request_id = pending.request.request_id;
-      refusal.status = ScheduleStatus::kError;
-      refusal.error = "service stopped before the request was served";
-      count_response(refusal);
-      send_response(pending.session, refusal);
-    }
+    refuse(pending, ScheduleStatus::kError,
+           "service stopped before the request was served");
     pending.session->pending.fetch_sub(1, std::memory_order_release);
   }
 }
@@ -431,6 +268,10 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   while (dispatch_scratch_.size() < tasks) {
     dispatch_scratch_.push_back(std::make_unique<DispatchScratch>());
   }
+  // Entries the parallel phase was computing when it failed; empty
+  // unless it did.
+  std::vector<bool> refused;
+  std::string failure;
   try {
     pool_->parallel_for(tasks, [&](std::size_t t) {
       DispatchScratch& scratch = *dispatch_scratch_[t];
@@ -454,25 +295,12 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
     // is unknown — refuse every entry that was being computed in
     // parallel (classify_window results stand) and keep the dispatcher.
     DLS_COUNT("serve.dispatch.batch_failed");
-    const auto refuse = [&](std::size_t i) {
-      if (batch[i].multi) {
-        MultiScheduleResponse& r = multi_responses[i];
-        r = MultiScheduleResponse{};
-        r.request_id = batch[i].multi->request_id;
-        r.status = ScheduleStatus::kError;
-        r.error = e.what();
-      } else {
-        ScheduleResponse& r = responses[i];
-        r = ScheduleResponse{};
-        r.request_id = batch[i].request.request_id;
-        r.status = ScheduleStatus::kError;
-        r.error = e.what();
-      }
-    };
-    for (const SingleTask& task : singles) refuse(task.index);
+    failure = e.what();
+    refused.assign(batch.size(), false);
+    for (const SingleTask& task : singles) refused[task.index] = true;
     for (const MissGroup& group : groups) {
-      for (const std::size_t i : group.members) refuse(i);
-      for (const auto& [i, lane] : group.aliases) refuse(i);
+      for (const std::size_t i : group.members) refused[i] = true;
+      for (const auto& [i, lane] : group.aliases) refused[i] = true;
     }
   }
   // Responses are written serially, in admission order, after the
@@ -480,23 +308,23 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   // writes keep per-connection response order deterministic.
   // [[maybe_unused]]: the only consumer is DLS_OBSERVE, which compiles
   // out at DLS_OBS_LEVEL=0 and must not leave a warning behind.
-  [[maybe_unused]] const auto now = std::chrono::steady_clock::now();
+  [[maybe_unused]] const auto now = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].multi) {
-      count_multi_response(multi_responses[i]);
-      send_multi_response(batch[i].session, multi_responses[i]);
-      batch[i].session->pending.fetch_sub(1, std::memory_order_release);
-      continue;
+    const Pending& pending = batch[i];
+    if (!refused.empty() && refused[i]) {
+      refuse(pending, ScheduleStatus::kError, failure);
+    } else if (pending.multi) {
+      answer(*pending.session, multi_responses[i]);
+    } else {
+      if (responses[i].status == ScheduleStatus::kOk) {
+        DLS_OBSERVE("serve.request.latency_us",
+                    elapsed_us(pending.admitted_at, now),
+                    {10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
+                     5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
+      }
+      answer(*pending.session, responses[i]);
     }
-    count_response(responses[i]);
-    if (responses[i].status == ScheduleStatus::kOk) {
-      DLS_OBSERVE("serve.request.latency_us",
-                  elapsed_us(batch[i].admitted_at, now),
-                  {10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
-                   5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
-    }
-    send_response(batch[i].session, responses[i]);
-    batch[i].session->pending.fetch_sub(1, std::memory_order_release);
+    pending.session->pending.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -513,7 +341,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
     }
     return;
   }
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].multi) {
       // Multi-load requests always take the per-request path: the
@@ -528,10 +356,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
 
     // Same deadline rule handle() applies before touching the solver:
     // an expired batchmate is answered here and never occupies a lane.
-    double deadline_us = request.options.deadline_us;
-    if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-    if (deadline_us > 0.0 &&
-        elapsed_us(batch[i].admitted_at, now) > deadline_us) {
+    if (expired(batch[i], now)) {
       response.status = ScheduleStatus::kExpired;
       continue;
     }
@@ -554,10 +379,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
         singles.push_back(SingleTask{i, std::move(key), std::move(solution)});
         continue;
       }
-      response.status = ScheduleStatus::kOk;
-      response.cache_hit = true;
-      response.alpha = solution->alpha;
-      response.makespan = solution->makespan;
+      response = solved(request.request_id, *solution, /*cache_hit=*/true);
       continue;
     }
 
@@ -654,11 +476,9 @@ void SchedulerService::solve_group(const MissGroup& group,
     // A contract violation (or allocation failure) mid-batch poisons
     // every lane equally; each member gets an error, aliases included.
     const auto fail = [&](std::size_t i) {
-      ScheduleResponse& r = responses[i];
-      r = ScheduleResponse{};
-      r.request_id = batch[i].request.request_id;
-      r.status = ScheduleStatus::kError;
-      r.error = e.what();
+      responses[i] = refusal<ScheduleResponse>(batch[i].request.request_id,
+                                               ScheduleStatus::kError,
+                                               e.what());
     };
     for (const std::size_t i : group.members) fail(i);
     for (const auto& [i, lane] : group.aliases) fail(i);
@@ -669,36 +489,28 @@ void SchedulerService::solve_group(const MissGroup& group,
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const std::size_t i = group.members[lane];
     const ScheduleRequest& request = batch[i].request;
-    auto solved = std::make_shared<dlt::LinearSolution>();
-    scratch.solver.extract(lane, *solved);
-    solutions[lane] = std::move(solved);
+    auto fresh = std::make_shared<dlt::LinearSolution>();
+    scratch.solver.extract(lane, *fresh);
+    solutions[lane] = std::move(fresh);
     cache_.insert(group.keys[lane], solutions[lane]);
 
     ScheduleResponse& response = responses[i];
-    response.status = ScheduleStatus::kOk;
-    response.cache_hit = false;
-    response.alpha = solutions[lane]->alpha;
-    response.makespan = solutions[lane]->makespan;
+    response = solved(request.request_id, *solutions[lane],
+                      /*cache_hit=*/false);
     if (request.options.want_payments) {
       try {
         const net::LinearNetwork network(request.w, request.z);
         fill_payments(network, *solutions[lane], scratch.assess, response);
       } catch (const std::exception& e) {
-        response = ScheduleResponse{};
-        response.request_id = request.request_id;
-        response.status = ScheduleStatus::kError;
-        response.error = e.what();
+        response = refusal<ScheduleResponse>(
+            request.request_id, ScheduleStatus::kError, e.what());
       }
     }
   }
 
   for (const auto& [i, lane] : group.aliases) {
-    ScheduleResponse& response = responses[i];
-    response.request_id = batch[i].request.request_id;
-    response.status = ScheduleStatus::kOk;
-    response.cache_hit = false;
-    response.alpha = solutions[lane]->alpha;
-    response.makespan = solutions[lane]->makespan;
+    responses[i] = solved(batch[i].request.request_id, *solutions[lane],
+                          /*cache_hit=*/false);
   }
 }
 
@@ -721,18 +533,11 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
                                           const SingleTask* prefetched) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
-  ScheduleResponse response;
-  response.request_id = request.request_id;
-
-  double deadline_us = request.options.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0 &&
-      elapsed_us(pending.admitted_at, std::chrono::steady_clock::now()) >
-          deadline_us) {
-    response.status = ScheduleStatus::kExpired;
-    return response;
+  if (expired(pending, Clock::now())) {
+    return refusal<ScheduleResponse>(request.request_id,
+                                     ScheduleStatus::kExpired);
   }
-
+  ScheduleResponse response;
   try {
     const net::LinearNetwork network(request.w, request.z);
     const bool looked_up = prefetched != nullptr && !prefetched->key.empty();
@@ -741,32 +546,23 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
     const codec::Bytes& key = looked_up ? prefetched->key : fresh_key;
     SolveCache::Value solution =
         looked_up ? prefetched->solution : cache_.lookup(key);
-    response.cache_hit = solution != nullptr;
+    const bool cache_hit = solution != nullptr;
     if (!solution) {
-      auto solved = std::make_shared<dlt::LinearSolution>();
-      dlt::solve_linear_boundary_into(network, *solved,
+      auto fresh = std::make_shared<dlt::LinearSolution>();
+      dlt::solve_linear_boundary_into(network, *fresh,
                                       /*want_steps=*/false);
-      solution = std::move(solved);
+      solution = std::move(fresh);
       cache_.insert(key, solution);
     }
-    response.alpha = solution->alpha;
-    response.makespan = solution->makespan;
+    response = solved(request.request_id, *solution, cache_hit);
     if (request.options.want_payments) {
       fill_payments(network, *solution, assess, response);
     }
-    response.status = ScheduleStatus::kOk;
-  } catch (const dls::Error& e) {
-    response = ScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
   } catch (const std::exception& e) {
-    // Untyped failure (e.g. bad_alloc): refuse rather than unwind into
-    // the dispatcher thread and kill the service.
-    response = ScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
+    // Typed (dls::Error) or untyped (e.g. bad_alloc): refuse rather than
+    // unwind into the dispatcher thread and kill the service.
+    response = refusal<ScheduleResponse>(request.request_id,
+                                         ScheduleStatus::kError, e.what());
   }
   return response;
 }
@@ -774,20 +570,14 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
 MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
   DLS_SPAN("serve.multi.handle");
   const MultiScheduleRequest& request = *pending.multi;
+  if (expired(pending, Clock::now())) {
+    // Expired before dispatch: answered without scheduling a single
+    // installment.
+    return refusal<MultiScheduleResponse>(request.request_id,
+                                          ScheduleStatus::kExpired);
+  }
   MultiScheduleResponse response;
   response.request_id = request.request_id;
-
-  double deadline_us = request.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0 &&
-      elapsed_us(pending.admitted_at, std::chrono::steady_clock::now()) >
-          deadline_us) {
-    // Expired before dispatch: answered without scheduling a single
-    // installment, exactly like the single-load deadline rule.
-    response.status = ScheduleStatus::kExpired;
-    return response;
-  }
-
   try {
     const net::LinearNetwork network(request.w, request.z);
     std::vector<multiload::LoadSpec> specs;
@@ -823,126 +613,65 @@ MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
       response.total_payment = assessment.total_payment;
     }
     response.status = ScheduleStatus::kOk;
-  } catch (const dls::Error& e) {
-    response = MultiScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
   } catch (const std::exception& e) {
-    // Untyped failure (bad_alloc, length_error from a hostile request
-    // size): same refusal. Letting it escape would unwind through the
+    // Typed (dls::Error) or untyped (bad_alloc, length_error from a
+    // hostile request size): letting it escape would unwind through the
     // thread pool into the dispatcher thread and terminate the process.
-    response = MultiScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
+    response = refusal<MultiScheduleResponse>(
+        request.request_id, ScheduleStatus::kError, e.what());
   }
   return response;
 }
 
-void SchedulerService::send_response(Session* session,
-                                     const ScheduleResponse& response) {
-  try {
-    write_frame(*session->end,
-                Frame{FrameType::kScheduleResponse,
-                      encode_schedule_response(response)});
-  } catch (const TransportError&) {
-    // The client hung up before its answer arrived; nothing to do.
-  }
+void SchedulerService::refuse(const Pending& pending, ScheduleStatus status,
+                              std::string error, double retry_after_us) {
+  count(status);
+  send_refusal(*pending.session, pending.multi.has_value(),
+               pending.multi ? pending.multi->request_id
+                             : pending.request.request_id,
+               status, std::move(error), retry_after_us);
 }
 
-void SchedulerService::send_multi_response(
-    Session* session, const MultiScheduleResponse& response) {
-  try {
-    write_frame(*session->end,
-                Frame{FrameType::kMultiScheduleResponse,
-                      encode_multi_schedule_response(response)});
-  } catch (const TransportError&) {
-    // The client hung up before its answer arrived; nothing to do.
-  }
+void SchedulerService::answer(Session& session,
+                              const ScheduleResponse& response) {
+  count(response.status);
+  session.send(response);
 }
 
-void SchedulerService::count_multi_response(
-    const MultiScheduleResponse& response) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (response.status) {
-      case ScheduleStatus::kOk:
-        ++stats_.ok;
-        stats_.multi_loads += response.loads.size();
-        break;
-      case ScheduleStatus::kShed:
-        ++stats_.shed;
-        break;
-      case ScheduleStatus::kExpired:
-        ++stats_.expired;
-        break;
-      case ScheduleStatus::kError:
-        ++stats_.errors;
-        break;
-      case ScheduleStatus::kDegraded:
-        ++stats_.degraded;
-        break;
-    }
-  }
-  switch (response.status) {
+void SchedulerService::answer(Session& session,
+                              const MultiScheduleResponse& response) {
+  count(response.status, response.loads.size());
+  session.send(response);
+}
+
+void SchedulerService::count(ScheduleStatus status, std::size_t multi_loads) {
+  std::uint64_t ServiceStats::*tally = &ServiceStats::errors;
+  switch (status) {
     case ScheduleStatus::kOk:
-      DLS_COUNT("serve.multi.responses.ok");
-      DLS_COUNT("serve.multi.loads", response.loads.size());
-      break;
-    case ScheduleStatus::kShed:
-      DLS_COUNT("serve.multi.responses.shed");
-      break;
-    case ScheduleStatus::kExpired:
-      DLS_COUNT("serve.multi.responses.expired");
-      break;
-    case ScheduleStatus::kError:
-      DLS_COUNT("serve.multi.responses.error");
-      break;
-    case ScheduleStatus::kDegraded:
-      DLS_COUNT("serve.multi.responses.degraded");
-      break;
-  }
-}
-
-void SchedulerService::count_response(const ScheduleResponse& response) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (response.status) {
-      case ScheduleStatus::kOk:
-        ++stats_.ok;
-        break;
-      case ScheduleStatus::kShed:
-        ++stats_.shed;
-        break;
-      case ScheduleStatus::kExpired:
-        ++stats_.expired;
-        break;
-      case ScheduleStatus::kError:
-        ++stats_.errors;
-        break;
-      case ScheduleStatus::kDegraded:
-        ++stats_.degraded;
-        break;
-    }
-  }
-  switch (response.status) {
-    case ScheduleStatus::kOk:
+      tally = &ServiceStats::ok;
       DLS_COUNT("serve.responses.ok");
+      if (multi_loads > 0) DLS_COUNT("serve.multi.loads", multi_loads);
       break;
     case ScheduleStatus::kShed:
+      tally = &ServiceStats::shed;
       DLS_COUNT("serve.responses.shed");
       break;
     case ScheduleStatus::kExpired:
+      tally = &ServiceStats::expired;
       DLS_COUNT("serve.responses.expired");
       break;
     case ScheduleStatus::kError:
+      tally = &ServiceStats::errors;
       DLS_COUNT("serve.responses.error");
       break;
     case ScheduleStatus::kDegraded:
-      DLS_COUNT("serve.degraded");
+      tally = &ServiceStats::degraded;
+      DLS_COUNT("serve.responses.degraded");
       break;
   }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++(stats_.*tally);
+  stats_.multi_loads += multi_loads;
 }
 
 }  // namespace dls::serve

@@ -9,11 +9,9 @@
 //                       ▼                 ▼ deadline      ▼ via cache
 //                    responses written back on the request's connection
 //
-//  * connect() hands out one end of a fresh Pipe; adopt() runs the same
-//    session machinery over any Transport (SocketTransport,
-//    ChaosTransport, ...). A per-connection reader thread decodes
-//    frames and admits *synchronously*: a full queue answers kShed
-//    immediately — backpressure is explicit, never a silent stall.
+//  * Connections run on the session core (session.hpp). Its reader
+//    thread decodes each request and admits it *synchronously*: a full
+//    queue answers kShed at once — explicit backpressure, no stall.
 //  * A dispatcher thread drains the queue in batches of at most
 //    `max_batch` and solves them concurrently on the exec::ThreadPool.
 //  * Each request's deadline (admission-relative, µs) is checked before
@@ -23,13 +21,11 @@
 //    bit-identical to per-request solves.
 //  * Solutions are memoised in a SolveCache keyed by canonical (w, z)
 //    bytes. Metrics (serve.*): see docs/OBSERVABILITY.md.
-//  * Multi-load requests (kMultiScheduleRequest) share the same queue
-//    and shed/degraded/expired/stop semantics but solve via
-//    multiload::MultiLoadSolver per request (the answer depends on the
-//    whole mix — nothing to cache); single-load bytes are unchanged.
+//  * Multi-load requests share the queue, the deadline rule and the
+//    refusal path (each refusal in the request's own response kind) but
+//    solve via multiload::MultiLoadSolver, uncached.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -37,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,6 +43,7 @@
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service_wire.hpp"
+#include "serve/session.hpp"
 
 namespace dls::serve {
 
@@ -153,39 +151,41 @@ class SchedulerService {
   const SolveCache& cache() const noexcept { return cache_; }
 
  private:
-  struct Session {
-    std::unique_ptr<Transport> end;  ///< server side of the connection
-    std::thread reader;
-    std::atomic<bool> done{false};  ///< reader loop has returned
-    /// Queued requests still holding a pointer to this session; the
-    /// session may only be reaped once done and pending == 0.
-    std::atomic<std::size_t> pending{0};
-  };
+  using Clock = std::chrono::steady_clock;
+
   struct Pending {
     ScheduleRequest request;
     /// Engaged for multi-load traffic; `request` is then unused.
     std::optional<MultiScheduleRequest> multi;
-    std::chrono::steady_clock::time_point admitted_at;
+    Clock::time_point admitted_at;
     Session* session = nullptr;
   };
 
-  void session_loop(Session* session);
-  /// Closes a connection that exhausted its poison budget (or sent a
-  /// stream the resync scan could not rescue).
-  void quarantine(Session* session);
+  /// The session core's per-frame hook: decodes a request of either
+  /// kind and admits it; anything else is refused with kError and the
+  /// connection stays up.
+  void on_frame(Session& session, const Frame& frame);
   /// Shared admission for single- and multi-load traffic: one bounded
-  /// queue, FIFO across both kinds, kShed in the request's own response
-  /// type when full. Stamps admitted_at at the moment of queueing.
+  /// queue, FIFO across both kinds, kShed when full. Stamps admitted_at
+  /// at the moment of queueing.
   void admit(Pending pending);
-  /// Brown-out path: answers `request` inline (cache hit or kDegraded)
-  /// when the queue is above the watermark. Returns false when the
-  /// request should proceed to normal admission.
-  bool try_brownout(const ScheduleRequest& request, Session* session);
-  /// Multi-load brown-out: schedules are never cached (the answer
-  /// depends on the full load mix), so above the watermark every
-  /// multi-load request gets the typed kDegraded refusal.
-  bool try_brownout_multi(const MultiScheduleRequest& request,
-                          Session* session);
+  /// Brown-out path: above the queue watermark, answers a payment-free
+  /// single-load cache hit inline and refuses everything else with
+  /// kDegraded. Returns false when the request should proceed to normal
+  /// admission.
+  bool try_brownout(const Pending& pending);
+  /// Fills `response` straight from the solve cache for a payment-free
+  /// request; false on a miss (or when payments are wanted).
+  bool answer_from_cache(const ScheduleRequest& request,
+                         ScheduleResponse& response);
+  /// The deadline rule: a request's own admission-relative deadline
+  /// (µs), else the service default; 0 means none.
+  double deadline_of(double requested_us) const noexcept {
+    return requested_us > 0.0 ? requested_us : config_.default_deadline_us;
+  }
+  /// True when `pending` outlived its deadline by `now`: it is then
+  /// answered kExpired without touching the solver.
+  bool expired(const Pending& pending, Clock::time_point now) const;
   void dispatch_loop();
   void process_batch(std::vector<Pending>& batch);
 
@@ -253,11 +253,17 @@ class SchedulerService {
   /// multiload::MultiLoadSolver; expired requests are answered without
   /// scheduling a single installment.
   MultiScheduleResponse handle_multi(const Pending& pending);
-  void send_response(Session* session, const ScheduleResponse& response);
-  void send_multi_response(Session* session,
-                           const MultiScheduleResponse& response);
-  void count_response(const ScheduleResponse& response);
-  void count_multi_response(const MultiScheduleResponse& response);
+  /// The refusal path of both request kinds: a `status` refusal in
+  /// `pending`'s own response kind, counted and sent.
+  void refuse(const Pending& pending, ScheduleStatus status,
+              std::string error = {}, double retry_after_us = 0.0);
+  /// Counts a computed response and sends it on `session`.
+  void answer(Session& session, const ScheduleResponse& response);
+  void answer(Session& session, const MultiScheduleResponse& response);
+  /// Counts one response by status; both kinds fold into the same
+  /// counters. `multi_loads` is the load count of a kOk multi-load
+  /// response.
+  void count(ScheduleStatus status, std::size_t multi_loads = 0);
 
   ServiceConfig config_;
   exec::ThreadPool* pool_;
@@ -269,10 +275,6 @@ class SchedulerService {
   bool paused_ = false;
   bool stopping_ = false;
 
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  bool accepting_ = true;
-
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
 
@@ -281,6 +283,7 @@ class SchedulerService {
   /// dispatcher (and the pool tasks it fans out per window) touch it.
   std::vector<std::unique_ptr<DispatchScratch>> dispatch_scratch_;
 
+  SessionCore sessions_;
   std::thread dispatcher_;
 };
 

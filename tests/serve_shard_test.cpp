@@ -10,6 +10,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "common/rng.hpp"
 #include "serve/client.hpp"
 #include "serve/frame.hpp"
+#include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
@@ -31,6 +33,9 @@ namespace {
 using dls::codec::Bytes;
 using dls::serve::Frame;
 using dls::serve::FrameType;
+using dls::serve::MultiLoadItem;
+using dls::serve::MultiScheduleRequest;
+using dls::serve::MultiScheduleResponse;
 using dls::serve::PipeEnd;
 using dls::serve::RouterConfig;
 using dls::serve::RouterStats;
@@ -448,6 +453,83 @@ TEST(ShardRouterTest, HeartbeatBudgetDeathThenMonitorRevival) {
   client.close();
   router.stop();
   service->stop();
+}
+
+TEST(ShardRouterTest, MultiLoadRequestGetsTypedRefusal) {
+  Federation fed(1);
+  MultiScheduleRequest request;
+  request.w = {1.0, 1.2, 0.9};
+  request.z = {0.1, 0.2};
+  request.loads = {MultiLoadItem{1, 1.0, 0.0, 0.0},
+                   MultiLoadItem{2, 0.5, 0.0, 0.0}};
+
+  // Straight to the shard the same request is served ...
+  SchedulerClient direct(fed.shards[0]->connect());
+  EXPECT_EQ(direct.schedule_multi(request, 10.0).status, ScheduleStatus::kOk);
+  direct.close();
+
+  // ... and at the router it is refused in its own response kind,
+  // carrying its id, on a connection that stays up.
+  SchedulerClient client(fed.router->connect());
+  const MultiScheduleResponse refusal = client.schedule_multi(request, 10.0);
+  EXPECT_EQ(refusal.status, ScheduleStatus::kError);
+  EXPECT_EQ(refusal.request_id, 1u);
+  EXPECT_NE(refusal.error.find("multi-load"), std::string::npos)
+      << refusal.error;
+  const std::vector<double> w = {1.0, 1.1};
+  const std::vector<double> z = {0.1};
+  EXPECT_EQ(client.schedule(w, z).status, ScheduleStatus::kOk);
+  client.close();
+}
+
+TEST(ShardRouterTest, StopNeitherRedialsNorWaitsOutForwardTimeouts) {
+  // Three shards that accept every connection and never answer.
+  std::mutex held_mutex;
+  std::vector<PipeEnd> held;  // the shards' ends, kept open
+  std::atomic<int> dials{0};
+  RouterConfig config;
+  config.shard_count = 3;
+  config.replication = 3;
+  config.forward_timeout_s = 3.0;
+  config.probe_dead_shards = false;
+  config.connect = [&](std::size_t) -> std::unique_ptr<Transport> {
+    dls::serve::Pipe pipe = dls::serve::make_pipe();
+    {
+      std::lock_guard<std::mutex> lock(held_mutex);
+      held.push_back(std::move(pipe.a));
+    }
+    dials.fetch_add(1);
+    return std::make_unique<PipeEnd>(std::move(pipe.b));
+  };
+  {
+    ShardRouter router(config);
+    PipeEnd end = router.connect();
+    ScheduleRequest request;
+    request.request_id = 1;
+    request.w = {1.0, 1.0};
+    request.z = {0.1};
+    dls::serve::write_frame(
+        end, Frame{FrameType::kScheduleRequest,
+                   dls::serve::encode_schedule_request(request)});
+    // Park the session reader in its first forward's reply wait.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (dials.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(dials.load(), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto started = std::chrono::steady_clock::now();
+    router.stop();
+    const double took_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+    EXPECT_LT(took_s, 1.0);
+    EXPECT_EQ(dials.load(), 1) << "a shard was dialled after stop() began";
+    end.close();
+  }
+  for (PipeEnd& shard_end : held) shard_end.close();
 }
 
 }  // namespace
