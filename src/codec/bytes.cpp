@@ -132,6 +132,19 @@ std::string Reader::string() {
   return s;
 }
 
+void Reader::expect_magic(std::string_view magic) {
+  const std::uint64_t len = varint();
+  need(len);
+  const std::string_view found(
+      reinterpret_cast<const char*>(data_.data() + pos_),
+      static_cast<std::size_t>(len));
+  pos_ += static_cast<std::size_t>(len);
+  if (found != magic) {
+    throw DecodeError("bad wire magic: expected '" + std::string(magic) +
+                      "', got '" + std::string(found) + "'");
+  }
+}
+
 Bytes Reader::bytes() {
   const std::uint64_t len = varint();
   need(len);

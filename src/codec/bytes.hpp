@@ -72,6 +72,9 @@ class Reader {
   /// Bulk f64: fills `out`, equivalent to one f64() per element.
   void f64_array(std::span<double> out);
   std::string string();
+  /// Reads a string() and checks it equals `magic`, comparing the bytes
+  /// in place; only a mismatch builds the DecodeError text.
+  void expect_magic(std::string_view magic);
   Bytes bytes();
   /// The next `n` bytes with no length prefix (caller knows the
   /// framing), as a view into the borrowed buffer.

@@ -27,14 +27,6 @@ crypto::SignedClaim take_signed_claim(codec::Reader& r) {
   return sc;
 }
 
-void expect_magic(codec::Reader& r, std::string_view magic) {
-  const std::string found = r.string();
-  if (found != magic) {
-    throw codec::DecodeError("bad wire magic: expected '" +
-                             std::string(magic) + "', got '" + found + "'");
-  }
-}
-
 }  // namespace
 
 codec::Bytes encode_signed_claim(const crypto::SignedClaim& sc) {
@@ -46,7 +38,7 @@ codec::Bytes encode_signed_claim(const crypto::SignedClaim& sc) {
 
 crypto::SignedClaim decode_signed_claim(std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kClaimMagic);
+  r.expect_magic(kClaimMagic);
   crypto::SignedClaim sc = take_signed_claim(r);
   r.expect_done();
   return sc;
@@ -61,7 +53,7 @@ codec::Bytes encode_bid_message(const BidMessage& message) {
 
 BidMessage decode_bid_message(std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kBidMagic);
+  r.expect_magic(kBidMagic);
   BidMessage message{take_signed_claim(r)};
   r.expect_done();
   return message;
@@ -81,7 +73,7 @@ codec::Bytes encode_allocation_message(const AllocationMessage& message) {
 AllocationMessage decode_allocation_message(
     std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kAllocMagic);
+  r.expect_magic(kAllocMagic);
   AllocationMessage message;
   message.received_pred = take_signed_claim(r);
   message.received_self = take_signed_claim(r);
@@ -102,7 +94,7 @@ codec::Bytes encode_report_message(const ReportMessage& message) {
 
 ReportMessage decode_report_message(std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kReportMagic);
+  r.expect_magic(kReportMagic);
   ReportMessage message;
   message.metered_rate = take_signed_claim(r);
   message.token_count = take_signed_claim(r);
@@ -125,7 +117,7 @@ codec::Bytes encode_payment_message(const PaymentMessage& message) {
 
 PaymentMessage decode_payment_message(std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kPaymentMagic);
+  r.expect_magic(kPaymentMagic);
   PaymentMessage message;
   message.processor = r.u32();
   message.round = r.u64();

@@ -20,14 +20,6 @@ constexpr std::uint64_t kMaxLoadCount = std::uint64_t{1} << 16;
 constexpr std::uint64_t kMaxInstallments = std::uint64_t{1} << 12;
 constexpr std::uint64_t kMaxTotalInstallments = std::uint64_t{1} << 20;
 
-void expect_magic(codec::Reader& r, std::string_view magic) {
-  const std::string found = r.string();
-  if (found != magic) {
-    throw codec::DecodeError("bad wire magic: expected '" +
-                             std::string(magic) + "', got '" + found + "'");
-  }
-}
-
 void put_f64_vector(codec::Writer& w, std::span<const double> values) {
   w.varint(values.size());
   w.f64_array(values);
@@ -88,7 +80,7 @@ codec::Bytes encode_multi_schedule_request(
 MultiScheduleRequest decode_multi_schedule_request(
     std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kMultiRequestMagic);
+  r.expect_magic(kMultiRequestMagic);
   MultiScheduleRequest request;
   request.request_id = r.u64();
   request.policy = r.u8();
@@ -172,7 +164,7 @@ codec::Bytes encode_multi_schedule_response(
 MultiScheduleResponse decode_multi_schedule_response(
     std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kMultiResponseMagic);
+  r.expect_magic(kMultiResponseMagic);
   MultiScheduleResponse response;
   response.request_id = r.u64();
   const std::uint8_t status = r.u8();

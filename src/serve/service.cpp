@@ -32,6 +32,19 @@ ScheduleResponse solved(std::uint64_t request_id,
   return response;
 }
 
+/// Server-side latency of one kOk answer, µs. The buckets below 10 µs
+/// resolve a hit answered in place (~2 µs of work); with 10 µs as the
+/// first bound its p50 could only be interpolated inside [0, 10].
+void observe_latency([[maybe_unused]] double us) {
+  DLS_OBSERVE("serve.request.latency_us", us,
+              {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
+               2000.0, 5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
+}
+
+void bump(std::atomic<std::uint64_t>& tally, std::uint64_t by = 1) {
+  tally.fetch_add(by, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig config,
@@ -60,21 +73,8 @@ void SchedulerService::adopt(std::unique_ptr<Transport> transport) {
 
 bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
                                         ScheduleResponse& response) {
-  // Deadline accounting is admission-relative and owned by the framed
-  // path; serving such a request inline could answer where handle()
-  // would expire it, so any effective deadline declines the fast path.
-  if (deadline_of(request.options.deadline_us) > 0.0) return false;
-  try {
-    if (!answer_from_cache(request, response)) return false;
-  } catch (const dls::Error&) {
-    return false;  // malformed instance: the framed path owns kError
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.inline_hits;
-  }
-  DLS_COUNT("serve.inline_hits");
-  return true;
+  codec::Bytes key;
+  return serve_in_place(request, /*session=*/nullptr, key, response);
 }
 
 void SchedulerService::pause() {
@@ -93,23 +93,36 @@ void SchedulerService::resume() {
 void SchedulerService::stop() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
+    stopping_.store(true, std::memory_order_release);
     paused_ = false;
   }
   queue_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   // The dispatcher answered everything queued; only now close the
   // connections (unblocking every reader with EOF). A reader still
-  // admitting meanwhile is shed, since stopping_ is set.
+  // admitting meanwhile is shed, since stopping_ is set; the in-place
+  // rule declines from the same moment.
   sessions_.stop();
 }
 
 ServiceStats SchedulerService::stats() const {
+  const auto read = [](const Tallies::Count& tally) {
+    return tally.load(std::memory_order_relaxed);
+  };
   ServiceStats stats;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats = stats_;
-  }
+  stats.received = read(tallies_.received);
+  stats.admitted = read(tallies_.admitted);
+  stats.ok = read(tallies_.ok);
+  stats.shed = read(tallies_.shed);
+  stats.expired = read(tallies_.expired);
+  stats.errors = read(tallies_.errors);
+  stats.degraded = read(tallies_.degraded);
+  stats.batched = read(tallies_.batched);
+  stats.batch_groups = read(tallies_.batch_groups);
+  stats.batch_deduped = read(tallies_.batch_deduped);
+  stats.inline_hits = read(tallies_.inline_hits);
+  stats.multi_received = read(tallies_.multi_received);
+  stats.multi_loads = read(tallies_.multi_loads);
   stats.poison_frames = sessions_.poison_frames();
   stats.quarantined = sessions_.quarantined();
   return stats;
@@ -136,23 +149,45 @@ void SchedulerService::on_frame(Session& session, const Frame& frame) {
     refuse(pending, ScheduleStatus::kError, e.what());
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-    if (multi) ++stats_.multi_received;
-  }
+  bump(tallies_.received);
+  if (multi) bump(tallies_.multi_received);
   DLS_COUNT("serve.requests");
   if (multi) DLS_COUNT("serve.multi.requests");
+  if (!multi) {
+    const auto decoded_at = Clock::now();
+    ScheduleResponse response;
+    if (serve_in_place(pending.request, &session, pending.key, response)) {
+      // Accepted, not shed: an in-place answer counts as admitted.
+      bump(tallies_.admitted);
+      answer(session, response);
+      observe_latency(elapsed_us(decoded_at, Clock::now()));
+      return;
+    }
+  }
   admit(std::move(pending));
 }
 
-bool SchedulerService::answer_from_cache(const ScheduleRequest& request,
-                                         ScheduleResponse& response) {
-  if (request.options.want_payments) return false;
-  const SolveCache::Value solution =
-      cache_.lookup(canonical_topology_key(request.w, request.z));
+bool SchedulerService::serve_in_place(const ScheduleRequest& request,
+                                      const Session* session, codec::Bytes& key,
+                                      ScheduleResponse& response) {
+  // A deadline is admission-relative and owned by the dispatcher, which
+  // may expire the request where this would answer it.
+  if (request.options.want_payments ||
+      deadline_of(request.options.deadline_us) > 0.0 ||
+      stopping_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  // A session with requests queued would see this answer overtake theirs.
+  if (session != nullptr &&
+      session->pending.load(std::memory_order_acquire) != 0) {
+    return false;
+  }
+  key = canonical_topology_key(request.w, request.z);
+  const SolveCache::Value solution = cache_.lookup(key);
   if (!solution) return false;
   response = solved(request.request_id, *solution, /*cache_hit=*/true);
+  bump(tallies_.inline_hits);
+  DLS_COUNT("serve.inline_hits");
   return true;
 }
 
@@ -162,19 +197,11 @@ bool SchedulerService::try_brownout(const Pending& pending) {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (queue_.size() < config_.brownout_watermark) return false;
   }
-  // Above the watermark the solver pool is the bottleneck, so answer
-  // what the cache already knows inline from the reader thread (the
-  // bytes are identical to a queued solve) and refuse the rest with a
-  // typed hint instead of letting the queue shed blindly. Payments need
-  // the full mechanism run and a multi-load answer depends on the whole
-  // load mix, so neither is ever served from the cache.
+  // Above the watermark the solver pool is the bottleneck. The in-place
+  // rule already answered every hit it could; the rest — misses,
+  // payments, deadlines, multi-load, and hits queued behind their own
+  // session's requests — get a typed hint instead of a blind shed.
   DLS_SPAN("serve.brownout");
-  ScheduleResponse response;
-  if (!pending.multi && answer_from_cache(pending.request, response)) {
-    DLS_COUNT("serve.brownout.cache_hits");
-    answer(*pending.session, response);
-    return true;
-  }
   refuse(pending, ScheduleStatus::kDegraded,
          "service degraded: queue above brown-out watermark",
          config_.degraded_retry_after_us);
@@ -185,15 +212,13 @@ void SchedulerService::admit(Pending pending) {
   if (try_brownout(pending)) return;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!stopping_ && queue_.size() < config_.queue_capacity) {
+    if (!stopping_.load(std::memory_order_relaxed) &&
+        queue_.size() < config_.queue_capacity) {
       pending.session->pending.fetch_add(1, std::memory_order_relaxed);
       pending.admitted_at = Clock::now();
       queue_.push_back(std::move(pending));
       DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queue_.size()));
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.admitted;
-      }
+      bump(tallies_.admitted);
       queue_cv_.notify_one();
       return;
     }
@@ -218,9 +243,10 @@ void SchedulerService::dispatch_loop() {
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [&] {
-        return stopping_ || (!paused_ && !queue_.empty());
+        return stopping_.load(std::memory_order_relaxed) ||
+               (!paused_ && !queue_.empty());
       });
-      if (stopping_) break;
+      if (stopping_.load(std::memory_order_relaxed)) break;
       const std::size_t take = std::min(config_.max_batch, queue_.size());
       batch.clear();
       batch.reserve(take);
@@ -306,9 +332,7 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   // Responses are written serially, in admission order, after the
   // parallel solve — frame writes are atomic either way, but serial
   // writes keep per-connection response order deterministic.
-  // [[maybe_unused]]: the only consumer is DLS_OBSERVE, which compiles
-  // out at DLS_OBS_LEVEL=0 and must not leave a warning behind.
-  [[maybe_unused]] const auto now = Clock::now();
+  const auto now = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Pending& pending = batch[i];
     if (!refused.empty() && refused[i]) {
@@ -317,10 +341,7 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
       answer(*pending.session, multi_responses[i]);
     } else {
       if (responses[i].status == ScheduleStatus::kOk) {
-        DLS_OBSERVE("serve.request.latency_us",
-                    elapsed_us(pending.admitted_at, now),
-                    {10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
-                     5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
+        observe_latency(elapsed_us(pending.admitted_at, now));
       }
       answer(*pending.session, responses[i]);
     }
@@ -328,7 +349,7 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   }
 }
 
-void SchedulerService::classify_window(const std::vector<Pending>& batch,
+void SchedulerService::classify_window(std::vector<Pending>& batch,
                                        std::vector<ScheduleResponse>& responses,
                                        std::vector<SingleTask>& singles,
                                        std::vector<MissGroup>& groups) {
@@ -337,7 +358,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
     // per-request path, untouched.
     singles.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      singles.push_back(SingleTask{i, {}, nullptr});
+      singles.push_back(SingleTask{i, std::move(batch[i].key), nullptr});
     }
     return;
   }
@@ -370,8 +391,15 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       continue;
     }
 
-    codec::Bytes key = canonical_topology_key(request.w, request.z);
-    if (SolveCache::Value solution = cache_.lookup(key)) {
+    // A request the reader's in-place rule looked up arrives as a known
+    // miss with its key; any other is looked up here, once.
+    codec::Bytes key = std::move(batch[i].key);
+    SolveCache::Value solution;
+    if (key.empty()) {
+      key = canonical_topology_key(request.w, request.z);
+      solution = cache_.lookup(key);
+    }
+    if (solution) {
       if (request.options.want_payments) {
         // A hit that wants payments is assessed from the cached
         // solution on the classic path (handing over the hit and its
@@ -463,12 +491,9 @@ void SchedulerService::solve_group(const MissGroup& group,
   if (!group.aliases.empty()) {
     DLS_COUNT("serve.batch.dedup", group.aliases.size());
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.batch_groups;
-    stats_.batched += lanes + group.aliases.size();
-    stats_.batch_deduped += group.aliases.size();
-  }
+  bump(tallies_.batch_groups);
+  bump(tallies_.batched, lanes + group.aliases.size());
+  bump(tallies_.batch_deduped, group.aliases.size());
 
   try {
     solve_group_lanes(group, scratch, batch);
@@ -645,33 +670,32 @@ void SchedulerService::answer(Session& session,
 }
 
 void SchedulerService::count(ScheduleStatus status, std::size_t multi_loads) {
-  std::uint64_t ServiceStats::*tally = &ServiceStats::errors;
+  Tallies::Count Tallies::*tally = &Tallies::errors;
   switch (status) {
     case ScheduleStatus::kOk:
-      tally = &ServiceStats::ok;
+      tally = &Tallies::ok;
       DLS_COUNT("serve.responses.ok");
       if (multi_loads > 0) DLS_COUNT("serve.multi.loads", multi_loads);
       break;
     case ScheduleStatus::kShed:
-      tally = &ServiceStats::shed;
+      tally = &Tallies::shed;
       DLS_COUNT("serve.responses.shed");
       break;
     case ScheduleStatus::kExpired:
-      tally = &ServiceStats::expired;
+      tally = &Tallies::expired;
       DLS_COUNT("serve.responses.expired");
       break;
     case ScheduleStatus::kError:
-      tally = &ServiceStats::errors;
+      tally = &Tallies::errors;
       DLS_COUNT("serve.responses.error");
       break;
     case ScheduleStatus::kDegraded:
-      tally = &ServiceStats::degraded;
+      tally = &Tallies::degraded;
       DLS_COUNT("serve.responses.degraded");
       break;
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++(stats_.*tally);
-  stats_.multi_loads += multi_loads;
+  bump(tallies_.*tally);
+  if (multi_loads > 0) bump(tallies_.multi_loads, multi_loads);
 }
 
 }  // namespace dls::serve

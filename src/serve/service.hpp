@@ -5,13 +5,15 @@
 //
 //   client ──Pipe── session reader ──bounded queue── dispatcher ── pool
 //                       │                 │               │
-//                       │ shed when full  │ expire past   │ batch solve
-//                       ▼                 ▼ deadline      ▼ via cache
+//                       │ warm hit: in    │ expire past   │ batch solve
+//                       │ place; else     ▼ deadline      ▼ via cache
+//                       ▼ shed if full
 //                    responses written back on the request's connection
 //
 //  * Connections run on the session core (session.hpp). Its reader
-//    thread decodes each request and admits it *synchronously*: a full
-//    queue answers kShed at once — explicit backpressure, no stall.
+//    answers a warm payment-free hit in place (serve_in_place) and
+//    admits the rest *synchronously*: a full queue answers kShed at
+//    once — explicit backpressure, no stall.
 //  * A dispatcher thread drains the queue in batches of at most
 //    `max_batch` and solves them concurrently on the exec::ThreadPool.
 //  * Each request's deadline (admission-relative, µs) is checked before
@@ -26,6 +28,7 @@
 //    solve via multiload::MultiLoadSolver, uncached.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -67,12 +70,13 @@ struct ServiceConfig {
   core::MechanismConfig mechanism;
   /// Start with the dispatcher held: requests are admitted (or shed)
   /// but nothing is solved until resume(). Tests use this to provoke
-  /// deterministic queue-full and deadline-expiry behaviour.
+  /// deterministic queue-full and deadline-expiry behaviour. The
+  /// in-place rule keeps answering warm hits on the reader meanwhile.
   bool start_paused = false;
   /// Brown-out watermark: when the queue holds at least this many
-  /// requests, cache hits are answered inline from the reader thread
-  /// and cache misses get a typed kDegraded refusal with a retry-after
-  /// hint instead of queueing. 0 disables brown-out.
+  /// requests, every request the in-place rule did not answer gets a
+  /// typed kDegraded refusal with a retry-after hint instead of
+  /// queueing. 0 disables brown-out.
   std::size_t brownout_watermark = 0;
   /// The retry-after hint carried by kDegraded responses (µs).
   double degraded_retry_after_us = 1000.0;
@@ -100,7 +104,8 @@ struct ServiceStats {
   std::uint64_t batch_groups = 0;   ///< batched solver runs dispatched
   std::uint64_t batch_deduped = 0;  ///< duplicate topologies answered
                                     ///< from a batchmate's lane
-  std::uint64_t inline_hits = 0;    ///< try_serve_inline cache answers
+  std::uint64_t inline_hits = 0;    ///< hits answered in place, by a
+                                    ///< reader or a colocated router
   /// Well-formed multi-load requests read off the wire (also counted
   /// in `received`; responses land in the shared status counters).
   std::uint64_t multi_received = 0;
@@ -127,13 +132,15 @@ class SchedulerService {
   /// backs connect(). The service owns the transport from here on.
   void adopt(std::unique_ptr<Transport> transport);
 
-  /// Colocated fast path for a router sharing this process: answers
-  /// `request` from the solve cache without touching the wire, the
-  /// admission queue or the dispatcher. Returns true (and fills
-  /// `response`, bit-identical to a queued cache hit) only for
-  /// payment-free cache hits on a valid instance; everything else —
-  /// misses, payments, malformed requests — returns false so the caller
+  /// Colocated fast path for a router sharing this process: applies the
+  /// reader's in-place rule (serve_in_place) to `request` without
+  /// touching the wire, the admission queue or the dispatcher. Returns
+  /// true (and fills `response`, bit-identical to a queued cache hit)
+  /// only for a payment-free, deadline-free cache hit that arrives
+  /// before stop() begins; everything else returns false so the caller
   /// falls back to the framed path and its full admission semantics.
+  /// The router's session has nothing queued here, as it forwards one
+  /// request at a time.
   bool try_serve_inline(const ScheduleRequest& request,
                         ScheduleResponse& response);
 
@@ -157,27 +164,38 @@ class SchedulerService {
     ScheduleRequest request;
     /// Engaged for multi-load traffic; `request` is then unused.
     std::optional<MultiScheduleRequest> multi;
+    /// Non-empty when the in-place rule looked the request up on the
+    /// reader: the canonical key of a known miss, so the dispatcher
+    /// neither rebuilds it nor looks it up a second time.
+    codec::Bytes key;
     Clock::time_point admitted_at;
     Session* session = nullptr;
   };
 
   /// The session core's per-frame hook: decodes a request of either
-  /// kind and admits it; anything else is refused with kError and the
+  /// kind, answers it in place when the in-place rule allows, and
+  /// admits it otherwise; anything else is refused with kError and the
   /// connection stays up.
   void on_frame(Session& session, const Frame& frame);
+  /// The in-place rule, the one place a cache hit skips the queue. A
+  /// single-load request qualifies when it wants no payments, has no
+  /// effective deadline, arrives before stop() begins and, when it came
+  /// off a session, that session has nothing queued ahead of it
+  /// (`session` is null for the colocated router). A qualifying request
+  /// is looked up once: a hit fills `response` (the bytes of a dispatched
+  /// hit) and counts as an inline hit; a miss leaves its key in `key`.
+  /// Payment-wanting hits stay on the dispatcher: an assessment is O(m)
+  /// work for the pool, not a reader.
+  bool serve_in_place(const ScheduleRequest& request, const Session* session,
+                      codec::Bytes& key, ScheduleResponse& response);
   /// Shared admission for single- and multi-load traffic: one bounded
   /// queue, FIFO across both kinds, kShed when full. Stamps admitted_at
   /// at the moment of queueing.
   void admit(Pending pending);
-  /// Brown-out path: above the queue watermark, answers a payment-free
-  /// single-load cache hit inline and refuses everything else with
-  /// kDegraded. Returns false when the request should proceed to normal
-  /// admission.
+  /// Brown-out: above the queue watermark, refuses with kDegraded what
+  /// the in-place rule did not answer. Returns false when the request
+  /// should proceed to normal admission.
   bool try_brownout(const Pending& pending);
-  /// Fills `response` straight from the solve cache for a payment-free
-  /// request; false on a miss (or when payments are wanted).
-  bool answer_from_cache(const ScheduleRequest& request,
-                         ScheduleResponse& response);
   /// The deadline rule: a request's own admission-relative deadline
   /// (µs), else the service default; 0 means none.
   double deadline_of(double requested_us) const noexcept {
@@ -207,10 +225,10 @@ class SchedulerService {
     core::AssessWorkspace assess;
   };
 
-  /// A request routed to the per-request path. When classification
-  /// already consulted the cache, the key it built and the lookup's
-  /// result ride along so handle() neither rebuilds the key nor looks
-  /// up (and counts) a second time.
+  /// A request routed to the per-request path. When the reader or
+  /// classification already consulted the cache, the key and the
+  /// lookup's result ride along so handle() neither rebuilds the key nor
+  /// looks up (and counts) a second time.
   struct SingleTask {
     std::size_t index = 0;
     codec::Bytes key;            ///< empty = not looked up yet
@@ -218,11 +236,11 @@ class SchedulerService {
   };
 
   /// Dispatcher-thread triage of one window: answers expired requests
-  /// and payment-free cache hits in place (into `responses`), groups
-  /// batchable cache misses by chain length, and routes everything else
+  /// and payment-free cache hits (into `responses`), groups batchable
+  /// cache misses by chain length, and routes everything else
   /// (validation failures, cache hits wanting payments, leftovers of
   /// undersized groups) to `singles` for the classic handle() path.
-  void classify_window(const std::vector<Pending>& batch,
+  void classify_window(std::vector<Pending>& batch,
                        std::vector<ScheduleResponse>& responses,
                        std::vector<SingleTask>& singles,
                        std::vector<MissGroup>& groups);
@@ -273,10 +291,29 @@ class SchedulerService {
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
   bool paused_ = false;
-  bool stopping_ = false;
+  /// Written under queue_mutex_; the in-place rule reads it without.
+  std::atomic<bool> stopping_{false};
 
-  mutable std::mutex stats_mutex_;
-  ServiceStats stats_;
+  /// The counts behind stats(), one relaxed atomic each so that no
+  /// request path takes a lock to count (the session core keeps the
+  /// poison and quarantine counts).
+  struct Tallies {
+    using Count = std::atomic<std::uint64_t>;
+    Count received{0};
+    Count admitted{0};
+    Count ok{0};
+    Count shed{0};
+    Count expired{0};
+    Count errors{0};
+    Count degraded{0};
+    Count batched{0};
+    Count batch_groups{0};
+    Count batch_deduped{0};
+    Count inline_hits{0};
+    Count multi_received{0};
+    Count multi_loads{0};
+  };
+  Tallies tallies_;
 
   /// One entry per concurrent pool task: grown to the largest window's
   /// task count (at most max_batch) and reused across windows; only the

@@ -13,14 +13,6 @@ constexpr std::string_view kKeyMagic = "dls.serve.key.v1";
 /// giant allocation before the truncation check fires.
 constexpr std::uint64_t kMaxVectorLength = std::uint64_t{1} << 20;
 
-void expect_magic(codec::Reader& r, std::string_view magic) {
-  const std::string found = r.string();
-  if (found != magic) {
-    throw codec::DecodeError("bad wire magic: expected '" +
-                             std::string(magic) + "', got '" + found + "'");
-  }
-}
-
 /// Room for every magic, fixed-width field and varint prefix of one
 /// encoding below (the response needs 82 bytes beyond its error text
 /// and vectors), so each encoder reserves once instead of regrowing.
@@ -83,7 +75,7 @@ codec::Bytes encode_schedule_request(const ScheduleRequest& request) {
 
 ScheduleRequest decode_schedule_request(std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kRequestMagic);
+  r.expect_magic(kRequestMagic);
   ScheduleRequest request;
   request.request_id = r.u64();
   request.options.round = r.u64();
@@ -125,7 +117,7 @@ codec::Bytes encode_schedule_response(const ScheduleResponse& response) {
 ScheduleResponse decode_schedule_response(
     std::span<const std::uint8_t> data) {
   codec::Reader r(data);
-  expect_magic(r, kResponseMagic);
+  r.expect_magic(kResponseMagic);
   ScheduleResponse response;
   response.request_id = r.u64();
   const std::uint8_t status = r.u8();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "codec/bytes.hpp"
 
@@ -154,6 +155,31 @@ TEST(Codec, TruncatedStringThrows) {
   w.u8('x');
   Reader r(w.data());
   EXPECT_THROW(r.string(), DecodeError);
+}
+
+TEST(Codec, ExpectMagicComparesInPlace) {
+  Writer w;
+  w.string("dls.serve.req.v1");
+  w.u8(9);
+  Reader ok(w.data());
+  EXPECT_NO_THROW(ok.expect_magic("dls.serve.req.v1"));
+  EXPECT_EQ(ok.u8(), 9);  // consumed exactly the magic
+
+  const std::string want =
+      "bad wire magic: expected 'dls.serve.resp.v2', got 'dls.serve.req.v1'";
+  Reader wrong(w.data());
+  try {
+    wrong.expect_magic("dls.serve.resp.v2");
+    ADD_FAILURE() << "a different magic was accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+
+  Writer truncated;
+  truncated.varint(16);  // claims 16 bytes follow
+  truncated.u8('d');
+  Reader short_read(truncated.data());
+  EXPECT_THROW(short_read.expect_magic("dls.serve.req.v1"), DecodeError);
 }
 
 TEST(Codec, OverlongVarintThrows) {

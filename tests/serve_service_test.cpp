@@ -2,7 +2,8 @@
 // solved responses match the direct solver bit-for-bit, payments match
 // the mechanism's assessment, deadlines expire queued work, a full
 // admission queue sheds explicitly, malformed traffic gets typed error
-// responses, and stop() answers everything still queued.
+// responses, stop() answers everything still queued, and a warm hit
+// answered in place never overtakes its connection's queued requests.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -342,6 +344,102 @@ TEST(ServeServiceTest, ConnectAfterStopThrows) {
   SchedulerService service(ServiceConfig{});
   service.stop();
   EXPECT_THROW(service.connect(), dls::Error);
+}
+
+/// Requests the reader has decided on: queued, answered or refused. A
+/// paused dispatcher decides nothing, so each new request moves this by
+/// at least one once its reader is done with it.
+std::uint64_t decided(const dls::serve::ServiceStats& stats) {
+  return stats.admitted + stats.ok + stats.shed + stats.degraded +
+         stats.errors + stats.expired;
+}
+
+void wait_for_decisions(const SchedulerService& service, std::uint64_t want) {
+  using Clock = std::chrono::steady_clock;
+  const auto give_up = Clock::now() + std::chrono::seconds(10);
+  while (decided(service.stats()) < want && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(decided(service.stats()), want);
+}
+
+TEST(ServeServiceTest, PipelinedAnswersKeepWriteOrder) {
+  // A pipelining client writes a miss A and then a hit B before reading:
+  // B's kOk must not overtake A's, with or without brown-out. (Brown-out
+  // may refuse B with kDegraded instead.)
+  const std::vector<double> miss_w = {2.0, 1.5, 1.1, 0.7};
+  for (const std::size_t watermark : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("brownout_watermark " + std::to_string(watermark));
+    ServiceConfig config;
+    config.brownout_watermark = watermark;
+    SchedulerService service(config);
+    SchedulerClient warm(service.connect());
+    ASSERT_EQ(warm.schedule(kW, kZ).status, ScheduleStatus::kOk);
+    service.pause();
+
+    PipeEnd end = service.connect();
+    ScheduleRequest a;
+    a.request_id = 1;
+    a.w = miss_w;
+    a.z = kZ;
+    ScheduleRequest b;
+    b.request_id = 2;
+    b.w = kW;
+    b.z = kZ;
+    const std::uint64_t before = decided(service.stats());
+    send_request(end, a);
+    wait_for_decisions(service, before + 1);
+    ASSERT_EQ(service.stats().admitted, 2u);  // the warm-up and A
+    send_request(end, b);
+    wait_for_decisions(service, before + 2);
+    service.resume();
+
+    std::vector<std::uint64_t> ok_order;
+    for (int i = 0; i < 2; ++i) {
+      const ScheduleResponse response = read_response(end);
+      if (response.status == ScheduleStatus::kOk) {
+        ok_order.push_back(response.request_id);
+      } else {
+        EXPECT_EQ(response.request_id, 2u);
+        EXPECT_EQ(response.status, ScheduleStatus::kDegraded);
+        EXPECT_EQ(watermark, 1u);
+      }
+    }
+    ASSERT_FALSE(ok_order.empty());
+    EXPECT_EQ(ok_order.front(), 1u) << "B's kOk overtook A's";
+    if (watermark == 0) {
+      EXPECT_EQ(ok_order, (std::vector<std::uint64_t>{1, 2}));
+    }
+    end.close();
+  }
+}
+
+TEST(ServeServiceTest, WarmHitWithDeadlineWaitsForTheDispatcher) {
+  // A deadline is admission-relative and owned by the dispatcher, so a
+  // warm hit carrying one (its own or the service default) is queued,
+  // not answered in place, and expires like any other request.
+  for (const bool own_deadline : {true, false}) {
+    SCOPED_TRACE(own_deadline ? "own deadline" : "default deadline");
+    ServiceConfig config;
+    if (!own_deadline) config.default_deadline_us = 50000.0;
+    SchedulerService service(config);
+    SchedulerClient warm(service.connect());
+    ASSERT_EQ(warm.schedule(kW, kZ).status, ScheduleStatus::kOk);
+    service.pause();
+
+    PipeEnd end = service.connect();
+    ScheduleRequest request;
+    request.request_id = 5;
+    request.w = kW;
+    request.z = kZ;
+    if (own_deadline) request.options.deadline_us = 50000.0;
+    send_request(end, request);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    service.resume();
+    EXPECT_EQ(read_response(end).status, ScheduleStatus::kExpired);
+    EXPECT_EQ(service.stats().inline_hits, 0u);
+    end.close();
+  }
 }
 
 TEST(ServeServiceTest, StatsTallyResponses) {
