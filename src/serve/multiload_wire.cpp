@@ -9,32 +9,14 @@ namespace {
 constexpr std::string_view kMultiRequestMagic = "dls.serve.mreq.v1";
 constexpr std::string_view kMultiResponseMagic = "dls.serve.mresp.v1";
 
-/// Caps decoded counts so a malformed length cannot force a giant
-/// allocation before the truncation check fires. Loads are richer than
-/// bare doubles, so their cap is tighter than the vector cap.
-constexpr std::uint64_t kMaxVectorLength = std::uint64_t{1} << 20;
+/// Caps the decoded load count, as kMaxVectorLength caps vectors. Loads
+/// are richer than bare doubles, so their cap is tighter.
 constexpr std::uint64_t kMaxLoadCount = std::uint64_t{1} << 16;
 /// The solver materialises loads × installments Installment objects,
 /// each carrying per-processor vectors, so both the per-load count and
 /// the product need caps a hostile frame cannot exceed.
 constexpr std::uint64_t kMaxInstallments = std::uint64_t{1} << 12;
 constexpr std::uint64_t kMaxTotalInstallments = std::uint64_t{1} << 20;
-
-void put_f64_vector(codec::Writer& w, std::span<const double> values) {
-  w.varint(values.size());
-  w.f64_array(values);
-}
-
-std::vector<double> take_f64_vector(codec::Reader& r) {
-  const std::uint64_t count = r.varint();
-  if (count > kMaxVectorLength) {
-    throw codec::DecodeError("vector length " + std::to_string(count) +
-                             " exceeds the wire cap");
-  }
-  std::vector<double> values(static_cast<std::size_t>(count));
-  r.f64_array(values);
-  return values;
-}
 
 double take_finite_f64(codec::Reader& r, std::string_view field) {
   const double value = r.f64();
@@ -43,14 +25,6 @@ double take_finite_f64(codec::Reader& r, std::string_view field) {
                              " on the wire");
   }
   return value;
-}
-
-bool take_bool(codec::Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > 1) {
-    throw codec::DecodeError("bad boolean byte " + std::to_string(v));
-  }
-  return v == 1;
 }
 
 }  // namespace

@@ -77,8 +77,22 @@ void ShardRouter::stop() {
 }
 
 RouterStats ShardRouter::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  RouterStats stats;
+  stats.received = read_tally(tallies_.received);
+  stats.inline_hits = read_tally(tallies_.inline_hits);
+  stats.forwarded = read_tally(tallies_.forwarded);
+  stats.forward_failures = read_tally(tallies_.forward_failures);
+  stats.answered_ok = read_tally(tallies_.answered_ok);
+  stats.refused = read_tally(tallies_.refused);
+  stats.no_owner = read_tally(tallies_.no_owner);
+  stats.quorum_checked = read_tally(tallies_.quorum_checked);
+  stats.quorum_agreed = read_tally(tallies_.quorum_agreed);
+  stats.quorum_divergence = read_tally(tallies_.quorum_divergence);
+  stats.quorum_single = read_tally(tallies_.quorum_single);
+  stats.shard_deaths = read_tally(tallies_.shard_deaths);
+  stats.shard_revivals = read_tally(tallies_.shard_revivals);
+  stats.rebalances = read_tally(tallies_.rebalances);
+  return stats;
 }
 
 std::vector<bool> ShardRouter::alive() const {
@@ -101,19 +115,13 @@ void ShardRouter::set_alive(std::size_t shard, bool alive) {
     }
   }
   if (!flipped) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.rebalances;
-    if (alive) {
-      ++stats_.shard_revivals;
-    } else {
-      ++stats_.shard_deaths;
-    }
-  }
+  bump(tallies_.rebalances);
   DLS_COUNT("serve.shard.rebalances");
   if (alive) {
+    bump(tallies_.shard_revivals);
     DLS_COUNT("serve.shard.revivals");
   } else {
+    bump(tallies_.shard_deaths);
     DLS_COUNT("serve.shard.deaths");
   }
   health_cv_.notify_all();
@@ -139,14 +147,6 @@ void ShardRouter::on_frame(Session& session, const Frame& frame) {
                  unexpected_frame_type(frame.type));
     return;
   }
-  // Verbatim fast path: a payload byte-identical (modulo id) to one
-  // already answered inline replays the cached encoding before any
-  // decode work happens. Only inline answers fill the replay tiers, so
-  // without the inline path there is nothing to look up.
-  if (config_.replay_cache_capacity > 0 && inline_enabled() &&
-      try_replay(session, frame.payload)) {
-    return;
-  }
   ScheduleRequest request;
   try {
     request = decode_schedule_request(frame.payload);
@@ -154,137 +154,25 @@ void ShardRouter::on_frame(Session& session, const Frame& frame) {
     send_refusal(session, /*multi=*/false, 0, ScheduleStatus::kError, e.what());
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-  }
+  bump(tallies_.received);
   DLS_COUNT("serve.shard.requests");
   handle_request(session, request, frame.payload);
-}
-
-bool ShardRouter::try_replay(Session& session,
-                             std::span<const std::uint8_t> payload) {
-  const std::span<const std::uint8_t> key =
-      schedule_request_replay_key(payload);
-  if (key.empty()) return false;
-  const std::string_view whole(
-      reinterpret_cast<const char*>(payload.data()), payload.size());
-  const std::string_view needle(reinterpret_cast<const char*>(key.data()),
-                                key.size());
-  // Tier 1: an exact repeat (idempotent retry, id included) ships the
-  // cached frame bytes untouched — one write, no hashing or encoding.
-  const std::uint64_t request_id = schedule_request_id(payload);
-  codec::Bytes wire;
-  codec::Bytes encoded;
-  bool verbatim = false;
-  bool promote = false;
-  {
-    std::lock_guard<std::mutex> lock(replay_mutex_);
-    const auto hit = verbatim_cache_.find(whole);
-    if (hit != verbatim_cache_.end()) {
-      wire = hit->second;
-      verbatim = true;
-    } else {
-      const auto it = replay_cache_.find(needle);
-      if (it == replay_cache_.end()) return false;
-      encoded = it->second.encoded;
-      promote = it->second.last_id == request_id;
-      it->second.last_id = request_id;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-    ++stats_.replayed;
-    if (verbatim) ++stats_.replayed_verbatim;
-    ++stats_.answered_ok;
-  }
-  DLS_COUNT("serve.shard.requests");
-  DLS_COUNT("serve.shard.replays");
-  if (!verbatim) {
-    // Tier 2: same request under a fresh id — patch the echoed id into
-    // the cached payload and re-frame. Promotion into tier 1 waits for
-    // a repeat under the SAME id (an exact-frame replayer), so id-
-    // incrementing clients don't churn the verbatim tier.
-    patch_schedule_response_id(encoded, request_id);
-    Frame frame;
-    frame.type = FrameType::kScheduleResponse;
-    frame.payload = std::move(encoded);
-    wire = encode_frame(frame);
-    if (promote) store_verbatim(payload, wire);
-  } else {
-    DLS_COUNT("serve.shard.replays_verbatim");
-  }
-  session.send(wire);
-  return true;
-}
-
-void ShardRouter::store_replay(std::span<const std::uint8_t> payload,
-                               const codec::Bytes& encoded,
-                               const codec::Bytes& wire) {
-  const std::span<const std::uint8_t> key =
-      schedule_request_replay_key(payload);
-  if (key.empty()) return;
-  std::string owned(reinterpret_cast<const char*>(key.data()), key.size());
-  {
-    std::lock_guard<std::mutex> lock(replay_mutex_);
-    if (replay_cache_.find(std::string_view(owned)) ==
-        replay_cache_.end()) {
-      while (replay_cache_.size() >= config_.replay_cache_capacity &&
-             !replay_fifo_.empty()) {
-        replay_cache_.erase(replay_fifo_.front());
-        replay_fifo_.pop_front();
-      }
-      replay_fifo_.push_back(owned);
-      replay_cache_.emplace(
-          std::move(owned),
-          ReplayEntry{encoded, schedule_request_id(payload)});
-    }
-  }
-  store_verbatim(payload, wire);
-}
-
-void ShardRouter::store_verbatim(std::span<const std::uint8_t> payload,
-                                 const codec::Bytes& wire) {
-  std::string owned(reinterpret_cast<const char*>(payload.data()),
-                    payload.size());
-  std::lock_guard<std::mutex> lock(replay_mutex_);
-  if (verbatim_cache_.find(std::string_view(owned)) !=
-      verbatim_cache_.end()) {
-    return;
-  }
-  while (verbatim_cache_.size() >= config_.replay_cache_capacity &&
-         !verbatim_fifo_.empty()) {
-    verbatim_cache_.erase(verbatim_fifo_.front());
-    verbatim_fifo_.pop_front();
-  }
-  verbatim_fifo_.push_back(owned);
-  verbatim_cache_.emplace(std::move(owned), wire);
 }
 
 void ShardRouter::handle_request(Session& session,
                                  const ScheduleRequest& request,
                                  std::span<const std::uint8_t> payload) {
-  // Malformed instances hash over the full request encoding instead:
-  // they still deserve a deterministic owner, whose solver will answer
-  // with the canonical kError text.
-  codec::Bytes key;
-  try {
-    key = canonical_topology_key(request.w, request.z);
-  } catch (const dls::Error&) {
-    key = encode_schedule_request(request);
-  }
+  // Malformed instances hash by the same key: their owner's solver
+  // answers with the canonical kError text.
+  const codec::Bytes key = canonical_topology_key(request.w, request.z);
   std::vector<std::size_t> owners;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
     owners = map_.owners(key, config_.replication);
   }
   if (owners.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.no_owner;
-      ++stats_.refused;
-    }
+    bump(tallies_.no_owner);
+    bump(tallies_.refused);
     DLS_COUNT("serve.shard.no_owner");
     send_refusal(session, /*multi=*/false, request.request_id,
                  ScheduleStatus::kDegraded, "no alive shard owns this key",
@@ -298,25 +186,10 @@ void ShardRouter::handle_request(Session& session,
     SchedulerService* local = config_.local[owners[0]];
     ScheduleResponse response;
     if (local != nullptr && local->try_serve_inline(request, response)) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.inline_hits;
-        ++stats_.answered_ok;
-      }
+      bump(tallies_.inline_hits);
+      bump(tallies_.answered_ok);
       DLS_COUNT("serve.shard.inline_hits");
-      // Encode once: the frame bytes answer this client AND seed both
-      // replay tiers, so the next identical request skips decode and
-      // encode entirely. Only inline answers (payment-free,
-      // deadline-free cache hits) ever populate them, which keeps
-      // replays safe.
-      Frame frame;
-      frame.type = FrameType::kScheduleResponse;
-      frame.payload = encode_schedule_response(response);
-      const codec::Bytes wire = encode_frame(frame);
-      if (config_.replay_cache_capacity > 0) {
-        store_replay(payload, frame.payload, wire);
-      }
-      session.send(wire);
+      session.send(response);
       return;
     }
   }
@@ -327,14 +200,8 @@ void ShardRouter::handle_request(Session& session,
     results.push_back(forward(backends, shard, payload));
   }
   const ScheduleResponse merged = merge(request, results);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (merged.status == ScheduleStatus::kOk) {
-      ++stats_.answered_ok;
-    } else {
-      ++stats_.refused;
-    }
-  }
+  bump(merged.status == ScheduleStatus::kOk ? tallies_.answered_ok
+                                            : tallies_.refused);
   session.send(merged);
 }
 
@@ -376,10 +243,7 @@ ShardRouter::ForwardResult ShardRouter::forward(
   frame.type = FrameType::kScheduleRequest;
   frame.payload.assign(payload.begin(), payload.end());
   patch_schedule_request_id(frame.payload, forward_id);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.forwarded;
-  }
+  bump(tallies_.forwarded);
   DLS_COUNT("serve.shard.forwarded");
   try {
     write_frame(*link, frame);
@@ -431,15 +295,8 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
           break;
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.quorum_checked;
-        if (diverged) {
-          ++stats_.quorum_divergence;
-        } else {
-          ++stats_.quorum_agreed;
-        }
-      }
+      bump(tallies_.quorum_checked);
+      bump(diverged ? tallies_.quorum_divergence : tallies_.quorum_agreed);
       if (diverged) {
         // A typed incident, never a silently-chosen answer: replicas
         // disagreeing on a deterministic solve means corruption or a
@@ -455,8 +312,7 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
       }
       DLS_COUNT("serve.quorum.agreed");
     } else {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.quorum_single;
+      bump(tallies_.quorum_single);
     }
     ScheduleResponse chosen = ok[0]->response;
     chosen.request_id = request.request_id;
@@ -498,10 +354,7 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
 }
 
 void ShardRouter::note_forward_failure(std::size_t shard) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.forward_failures;
-  }
+  bump(tallies_.forward_failures);
   DLS_COUNT("serve.shard.forward_failures");
   bool died = false;
   {
@@ -515,11 +368,8 @@ void ShardRouter::note_forward_failure(std::size_t shard) {
     }
   }
   if (!died) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.shard_deaths;
-    ++stats_.rebalances;
-  }
+  bump(tallies_.shard_deaths);
+  bump(tallies_.rebalances);
   DLS_COUNT("serve.shard.deaths");
   DLS_COUNT("serve.shard.rebalances");
   health_cv_.notify_all();  // wake the monitor to start probing
@@ -570,11 +420,8 @@ void ShardRouter::monitor_loop() {
         }
       }
       if (revived) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.shard_revivals;
-          ++stats_.rebalances;
-        }
+        bump(tallies_.shard_revivals);
+        bump(tallies_.rebalances);
         DLS_COUNT("serve.shard.revivals");
         DLS_COUNT("serve.shard.rebalances");
       } else {

@@ -6,16 +6,16 @@
 //
 //   client ──frames── router session ──frames── shard 0..N-1 backends
 //                        │     │
-//         inline cache ──┘     └── ShardMap (consistent hash, liveness)
-//         (colocated shard)          │
+//    colocated shard's ──┘     └── ShardMap (consistent hash, liveness)
+//    in-place rule (R=1)             │
 //                               health monitor (heartbeat-style probes)
 //
 //  * Sessions run on the session core (session.hpp) with lazy backend links.
 //  * A request's owners are the first R distinct alive shards clockwise
-//    from its canonical_topology_key ring position (shard.hpp). The
-//    primary owner's colocated service (RouterConfig::local) answers
-//    payment-free cache hits inline, no wire; the replay byte-cache
-//    answers repeats without decoding at all.
+//    from its canonical_topology_key ring position (shard.hpp). At R=1
+//    the primary owner's colocated service (RouterConfig::local) answers
+//    a payment-free cache hit by its in-place rule, no wire. The router
+//    keeps no response cache of its own: every request takes the ring.
 //  * Replication: the request goes to every owner; kOk answers are
 //    normalised (id and cache-hit flag zeroed) and byte-compared.
 //    Divergence is a typed incident — the client gets a kError
@@ -31,16 +31,12 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -89,21 +85,6 @@ struct RouterConfig {
   std::size_t resync_scan_bytes = 65536;
   /// Ring granularity (ShardMapConfig::vnodes).
   std::size_t vnodes = 64;
-  /// Capacity (entries per tier; 0 disables) of the two-tier replay
-  /// byte-cache. Tier 1 keys the WHOLE request payload and holds the
-  /// complete encoded response frame: an exact repeat — an idempotent
-  /// retry reusing its request id — is answered with one buffer write
-  /// and no hashing, decoding or encoding at all. Tier 2 keys the
-  /// payload after the request_id field and holds the response payload
-  /// encoding: a repeat under a fresh id replays it with only the
-  /// echoed id patched, then promotes the re-framed bytes into tier 1.
-  /// Both tiers are populated only downstream of the colocated inline
-  /// fast path, so every entry is a payment-free, deadline-free cache
-  /// hit — the only traffic whose response is a pure function of the
-  /// request bytes. Keying on the full payload (suffix) means any
-  /// change to the round tag, deadline, payments flag or topology
-  /// misses and takes the full path. Bounded, FIFO-evicted per tier.
-  std::size_t replay_cache_capacity = 128;
 };
 
 /// Transport-independent routing counts (kept regardless of the obs
@@ -111,8 +92,8 @@ struct RouterConfig {
 struct RouterStats {
   std::uint64_t received = 0;      ///< well-formed requests read
   std::uint64_t inline_hits = 0;   ///< answered from a colocated cache
-  std::uint64_t replayed = 0;      ///< byte-cache replays (both tiers)
-  std::uint64_t replayed_verbatim = 0;  ///< tier-1 whole-frame replays
+  std::uint64_t replayed = 0;      ///< always 0: the router caches no
+                                   ///< responses (kept for its readers)
   std::uint64_t forwarded = 0;     ///< request copies sent to shards
   std::uint64_t forward_failures = 0;  ///< wire/decode failures talking
                                        ///< to a shard
@@ -186,21 +167,10 @@ class ShardRouter {
   /// The session core's per-frame hook. Multi-load requests are not
   /// forwarded: they get a typed kError in their own response kind.
   void on_frame(Session& session, const Frame& frame);
-  /// `payload` is the raw encoded request (for the replay byte-cache).
+  /// Finds the request's owners on the ring, then answers it inline or
+  /// forwards `payload`, the client's encoding, to every owner.
   void handle_request(Session& session, const ScheduleRequest& request,
                       std::span<const std::uint8_t> payload);
-  /// Answers a request frame from the replay byte-cache when an
-  /// identical payload (modulo request_id) was served inline before.
-  /// Returns true when the response went out.
-  bool try_replay(Session& session, std::span<const std::uint8_t> payload);
-  /// Stores an inline answer under both replay tiers: the response
-  /// payload `encoded` under the request's id-less suffix, and the
-  /// complete response frame `wire` under the whole request payload.
-  void store_replay(std::span<const std::uint8_t> payload,
-                    const codec::Bytes& encoded, const codec::Bytes& wire);
-  /// Tier-1 insert alone (replay promotion). Caller holds no locks.
-  void store_verbatim(std::span<const std::uint8_t> payload,
-                      const codec::Bytes& wire);
   /// Sends the encoded request `payload` to `shard` on the session's
   /// backend link, under the link's next request id, and blocks for the
   /// reply. A wire/decode failure drops the link (next request
@@ -208,8 +178,8 @@ class ShardRouter {
   /// links are closed nothing is dialled: the result is undelivered.
   ForwardResult forward(BackendLinks& backends, std::size_t shard,
                         std::span<const std::uint8_t> payload);
-  /// The colocated inline path (and so the replay tiers it fills) runs
-  /// only without replication and with in-process shards.
+  /// The colocated inline path runs only without replication (R=1
+  /// has nothing to cross-check) and with in-process shards.
   bool inline_enabled() const noexcept {
     return config_.replication == 1 && !config_.local.empty();
   }
@@ -230,40 +200,25 @@ class ShardRouter {
   std::condition_variable health_cv_;
   bool stopping_ = false;
 
-  mutable std::mutex stats_mutex_;
-  RouterStats stats_;
-
-  /// Heterogeneous-lookup hash so replay lookups hash the raw payload
-  /// suffix without materialising a std::string first.
-  struct ReplayKeyHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
+  /// The counts behind stats(), one relaxed atomic each so that no
+  /// request path takes a lock to count.
+  struct Tallies {
+    Tally received{0};
+    Tally inline_hits{0};
+    Tally forwarded{0};
+    Tally forward_failures{0};
+    Tally answered_ok{0};
+    Tally refused{0};
+    Tally no_owner{0};
+    Tally quorum_checked{0};
+    Tally quorum_agreed{0};
+    Tally quorum_divergence{0};
+    Tally quorum_single{0};
+    Tally shard_deaths{0};
+    Tally shard_revivals{0};
+    Tally rebalances{0};
   };
-  /// Tier-2 entry: the cached response payload plus the request id the
-  /// suffix was last asked under. A repeat under the SAME id marks the
-  /// client as an exact-frame replayer, which is what gates promotion
-  /// into tier 1 — clients that increment ids never repeat one, so
-  /// they never churn the verbatim tier with single-use entries.
-  struct ReplayEntry {
-    codec::Bytes encoded;
-    std::uint64_t last_id = 0;
-  };
-
-  /// Leaf lock: never held together with any other router mutex.
-  /// Guards both replay tiers.
-  mutable std::mutex replay_mutex_;
-  /// Tier 2: request payload after the id -> response payload encoding.
-  std::unordered_map<std::string, ReplayEntry, ReplayKeyHash,
-                     std::equal_to<>>
-      replay_cache_;
-  std::deque<std::string> replay_fifo_;  ///< insertion order, for eviction
-  /// Tier 1: whole request payload -> complete response frame bytes.
-  std::unordered_map<std::string, codec::Bytes, ReplayKeyHash,
-                     std::equal_to<>>
-      verbatim_cache_;
-  std::deque<std::string> verbatim_fifo_;
+  Tallies tallies_;
 
   SessionCore sessions_;
   std::thread monitor_;

@@ -41,10 +41,6 @@ void observe_latency([[maybe_unused]] double us) {
                2000.0, 5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
 }
 
-void bump(std::atomic<std::uint64_t>& tally, std::uint64_t by = 1) {
-  tally.fetch_add(by, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig config,
@@ -106,23 +102,20 @@ void SchedulerService::stop() {
 }
 
 ServiceStats SchedulerService::stats() const {
-  const auto read = [](const Tallies::Count& tally) {
-    return tally.load(std::memory_order_relaxed);
-  };
   ServiceStats stats;
-  stats.received = read(tallies_.received);
-  stats.admitted = read(tallies_.admitted);
-  stats.ok = read(tallies_.ok);
-  stats.shed = read(tallies_.shed);
-  stats.expired = read(tallies_.expired);
-  stats.errors = read(tallies_.errors);
-  stats.degraded = read(tallies_.degraded);
-  stats.batched = read(tallies_.batched);
-  stats.batch_groups = read(tallies_.batch_groups);
-  stats.batch_deduped = read(tallies_.batch_deduped);
-  stats.inline_hits = read(tallies_.inline_hits);
-  stats.multi_received = read(tallies_.multi_received);
-  stats.multi_loads = read(tallies_.multi_loads);
+  stats.received = read_tally(tallies_.received);
+  stats.admitted = read_tally(tallies_.admitted);
+  stats.ok = read_tally(tallies_.ok);
+  stats.shed = read_tally(tallies_.shed);
+  stats.expired = read_tally(tallies_.expired);
+  stats.errors = read_tally(tallies_.errors);
+  stats.degraded = read_tally(tallies_.degraded);
+  stats.batched = read_tally(tallies_.batched);
+  stats.batch_groups = read_tally(tallies_.batch_groups);
+  stats.batch_deduped = read_tally(tallies_.batch_deduped);
+  stats.inline_hits = read_tally(tallies_.inline_hits);
+  stats.multi_received = read_tally(tallies_.multi_received);
+  stats.multi_loads = read_tally(tallies_.multi_loads);
   stats.poison_frames = sessions_.poison_frames();
   stats.quarantined = sessions_.quarantined();
   return stats;
@@ -670,7 +663,7 @@ void SchedulerService::answer(Session& session,
 }
 
 void SchedulerService::count(ScheduleStatus status, std::size_t multi_loads) {
-  Tallies::Count Tallies::*tally = &Tallies::errors;
+  Tally Tallies::*tally = &Tallies::errors;
   switch (status) {
     case ScheduleStatus::kOk:
       tally = &Tallies::ok;

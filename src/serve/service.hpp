@@ -298,20 +298,19 @@ class SchedulerService {
   /// request path takes a lock to count (the session core keeps the
   /// poison and quarantine counts).
   struct Tallies {
-    using Count = std::atomic<std::uint64_t>;
-    Count received{0};
-    Count admitted{0};
-    Count ok{0};
-    Count shed{0};
-    Count expired{0};
-    Count errors{0};
-    Count degraded{0};
-    Count batched{0};
-    Count batch_groups{0};
-    Count batch_deduped{0};
-    Count inline_hits{0};
-    Count multi_received{0};
-    Count multi_loads{0};
+    Tally received{0};
+    Tally admitted{0};
+    Tally ok{0};
+    Tally shed{0};
+    Tally expired{0};
+    Tally errors{0};
+    Tally degraded{0};
+    Tally batched{0};
+    Tally batch_groups{0};
+    Tally batch_deduped{0};
+    Tally inline_hits{0};
+    Tally multi_received{0};
+    Tally multi_loads{0};
   };
   Tallies tallies_;
 

@@ -9,14 +9,12 @@ constexpr std::string_view kRequestMagic = "dls.serve.req.v1";
 constexpr std::string_view kResponseMagic = "dls.serve.resp.v2";
 constexpr std::string_view kKeyMagic = "dls.serve.key.v1";
 
-/// Caps decoded vector lengths so a malformed count cannot force a
-/// giant allocation before the truncation check fires.
-constexpr std::uint64_t kMaxVectorLength = std::uint64_t{1} << 20;
-
 /// Room for every magic, fixed-width field and varint prefix of one
 /// encoding below (the response needs 82 bytes beyond its error text
 /// and vectors), so each encoder reserves once instead of regrowing.
 constexpr std::size_t kEncodingSlack = 96;
+
+}  // namespace
 
 void put_f64_vector(codec::Writer& w, std::span<const double> values) {
   w.varint(values.size());
@@ -41,8 +39,6 @@ bool take_bool(codec::Reader& r) {
   }
   return v == 1;
 }
-
-}  // namespace
 
 std::string to_string(ScheduleStatus status) {
   switch (status) {
@@ -172,34 +168,10 @@ void patch_id_at(codec::Bytes& payload, std::size_t offset,
 
 }  // namespace
 
-std::span<const std::uint8_t> schedule_request_replay_key(
-    std::span<const std::uint8_t> payload) {
-  static const std::size_t offset =
-      encoded_magic_size(kRequestMagic) + sizeof(std::uint64_t);
-  if (payload.size() < offset) return {};
-  return payload.subspan(offset);
-}
-
-std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload) {
-  static const std::size_t offset = encoded_magic_size(kRequestMagic);
-  if (payload.size() < offset + sizeof(std::uint64_t)) return 0;
-  std::uint64_t id = 0;
-  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
-    id |= static_cast<std::uint64_t>(payload[offset + i]) << (8 * i);
-  }
-  return id;
-}
-
 void patch_schedule_request_id(codec::Bytes& payload,
                                std::uint64_t request_id) {
   static const std::size_t offset = encoded_magic_size(kRequestMagic);
   patch_id_at(payload, offset, request_id, "request");
-}
-
-void patch_schedule_response_id(codec::Bytes& payload,
-                                std::uint64_t request_id) {
-  static const std::size_t offset = encoded_magic_size(kResponseMagic);
-  patch_id_at(payload, offset, request_id, "response");
 }
 
 void normalize_schedule_response(codec::Bytes& payload) {

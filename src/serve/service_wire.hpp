@@ -66,6 +66,21 @@ struct ScheduleResponse {
   double retry_after_us = 0.0;
 };
 
+// Primitives this codec and the multi-load one (multiload_wire.hpp)
+// share.
+
+/// The cap on a decoded vector's length, so a malformed count cannot
+/// force a giant allocation before the truncation check fires.
+inline constexpr std::uint64_t kMaxVectorLength = std::uint64_t{1} << 20;
+
+/// A vector travels as a varint count and the raw IEEE-754 values.
+/// take_f64_vector throws codec::DecodeError ("exceeds the wire cap")
+/// on a count above kMaxVectorLength.
+void put_f64_vector(codec::Writer& w, std::span<const double> values);
+std::vector<double> take_f64_vector(codec::Reader& r);
+/// A boolean byte: 0 or 1, anything else is a codec::DecodeError.
+bool take_bool(codec::Reader& r);
+
 codec::Bytes encode_schedule_request(const ScheduleRequest& request);
 ScheduleRequest decode_schedule_request(std::span<const std::uint8_t> data);
 
@@ -80,31 +95,11 @@ ScheduleResponse decode_schedule_response(std::span<const std::uint8_t> data);
 codec::Bytes canonical_topology_key(std::span<const double> w,
                                     std::span<const double> z);
 
-/// Replay key for the ShardRouter's verbatim response cache: the bytes
-/// of an encoded request AFTER the request_id field. They cover the
-/// round tag, deadline, payments flag and the full (w, z) topology, so
-/// two requests with equal suffixes must receive byte-identical
-/// responses up to the echoed id. Returns an empty span when `payload`
-/// is too short to carry a request_id at all.
-std::span<const std::uint8_t> schedule_request_replay_key(
-    std::span<const std::uint8_t> payload);
-
-/// Reads the request_id of an encoded request without decoding the
-/// rest; 0 when the payload is too short.
-std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload);
-
 /// Overwrites the request_id field of an encoded request in place, so a
 /// router can forward a client's encoding under its own link's id.
 /// Throws codec::DecodeError when the payload is too short to patch.
 void patch_schedule_request_id(codec::Bytes& payload,
                                std::uint64_t request_id);
-
-/// Overwrites the request_id field of an encoded response in place —
-/// the id is a fixed-width u64 at a fixed offset, so a cached response
-/// encoding can be replayed for a new request. Throws
-/// codec::DecodeError when the payload is too short to patch.
-void patch_schedule_response_id(codec::Bytes& payload,
-                                std::uint64_t request_id);
 
 /// Zeroes the per-hop fields of an encoded response in place — the
 /// echoed request_id and the cache-hit flag — leaving exactly the bytes

@@ -129,7 +129,7 @@ void SessionCore::read_frames(Session& session) {
       if (skipped > 0) DLS_COUNT("serve.fault.resync_bytes", skipped);
       if (corrupted || skipped > 0) {
         DLS_COUNT("serve.fault.poison_frames");
-        poison_frames_.fetch_add(1, std::memory_order_relaxed);
+        bump(poison_frames_);
         if (++poison > poison_budget_) {
           close_poisoned(session);
           return;
@@ -145,7 +145,7 @@ void SessionCore::read_frames(Session& session) {
 }
 
 void SessionCore::close_poisoned(Session& session) {
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  bump(quarantined_);
   DLS_COUNT("serve.quarantined");
   // Closing only this connection tears down the poisoned peer without
   // touching any other session; the client observes EOF for anything

@@ -45,6 +45,18 @@
 
 namespace dls::serve {
 
+/// One per-instance count behind a front-end's stats(). Relaxed: no
+/// other memory access is ordered by a count, so counting takes no lock.
+using Tally = std::atomic<std::uint64_t>;
+
+inline void bump(Tally& tally, std::uint64_t by = 1) {
+  tally.fetch_add(by, std::memory_order_relaxed);
+}
+
+inline std::uint64_t read_tally(const Tally& tally) {
+  return tally.load(std::memory_order_relaxed);
+}
+
 /// What an owner keeps per connection beside the session (the router's
 /// backend links). SessionCore::stop() calls close() once the session's
 /// end is closed.
@@ -113,10 +125,10 @@ class SessionCore {
   void stop();
 
   std::uint64_t poison_frames() const noexcept {
-    return poison_frames_.load(std::memory_order_relaxed);
+    return read_tally(poison_frames_);
   }
   std::uint64_t quarantined() const noexcept {
-    return quarantined_.load(std::memory_order_relaxed);
+    return read_tally(quarantined_);
   }
 
  private:
@@ -128,8 +140,8 @@ class SessionCore {
   const std::size_t poison_budget_;
   const std::size_t resync_scan_bytes_;
   const OnFrame on_frame_;
-  std::atomic<std::uint64_t> poison_frames_{0};
-  std::atomic<std::uint64_t> quarantined_{0};
+  Tally poison_frames_{0};
+  Tally quarantined_{0};
 
   std::mutex mutex_;  ///< guards sessions_ and stopped_
   std::vector<std::unique_ptr<Session>> sessions_;

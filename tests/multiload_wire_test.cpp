@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -316,6 +317,63 @@ TEST(MultiLoadWire, TotalInstallmentBudgetIsEnforcedBeforeAllocation) {
   w.varint(std::uint64_t{1} << 16);  // load count: exactly at its cap
   EXPECT_THROW(dls::serve::decode_multi_schedule_request(w.take()),
                DecodeError);
+}
+
+TEST(MultiLoadWire, BothRequestDecodersShareOneVectorCap) {
+  // Each request kind's header up to its |w| count, which claims `count`
+  // processors; no value follows, so only the cap check can tell a count
+  // over the cap from one at it.
+  const auto single = [](std::uint64_t count) {
+    dls::codec::Writer w;
+    w.string("dls.serve.req.v1");
+    w.u64(1);    // request_id
+    w.u64(1);    // round
+    w.f64(0.0);  // deadline_us
+    w.u8(0);     // want_payments
+    w.varint(count);
+    return w.take();
+  };
+  const auto multi = [](std::uint64_t count) {
+    dls::codec::Writer w;
+    w.string("dls.serve.mreq.v1");
+    w.u64(1);    // request_id
+    w.u8(0);     // policy
+    w.u32(1);    // installments
+    w.f64(0.0);  // ingress_z
+    w.f64(0.0);  // deadline_us
+    w.u8(0);     // want_payments
+    w.varint(count);
+    return w.take();
+  };
+  const auto error_of = [](auto decode, const Bytes& payload) {
+    try {
+      decode(payload);
+    } catch (const DecodeError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto decode_single = [](const Bytes& payload) {
+    return dls::serve::decode_schedule_request(payload);
+  };
+  const auto decode_multi = [](const Bytes& payload) {
+    return dls::serve::decode_multi_schedule_request(payload);
+  };
+  const std::uint64_t cap = std::uint64_t{1} << 20;
+  EXPECT_EQ(dls::serve::kMaxVectorLength, cap);
+  for (const std::string& error :
+       {error_of(decode_single, single(cap + 1)),
+        error_of(decode_multi, multi(cap + 1))}) {
+    EXPECT_NE(error.find("vector length 1048577 exceeds the wire cap"),
+              std::string::npos)
+        << error;
+  }
+  // At the cap itself the count passes and the missing values are what
+  // the decoders refuse.
+  for (const std::string& error : {error_of(decode_single, single(cap)),
+                                   error_of(decode_multi, multi(cap))}) {
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  }
 }
 
 TEST(MultiLoadWire, NonFiniteFieldsAreRejected) {

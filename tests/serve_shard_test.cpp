@@ -1,8 +1,9 @@
 // ShardMap + ShardRouter unit coverage: consistent-hash stability (a
 // death moves only the dead shard's arc), replication owner walks,
-// routed solves with warm inline hits, quorum divergence surfacing as
-// a typed incident, backpressure merging, and heartbeat-budget death
-// detection with monitor-probe revival.
+// routed solves with warm inline hits, repeats that still take the
+// ring, quorum divergence surfacing as a typed incident, backpressure
+// merging, and heartbeat-budget death detection with monitor-probe
+// revival.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,6 +193,38 @@ TEST(ShardRouterTest, RoutesSolvesAndServesWarmHitsInline) {
     shard_received += shard->stats().received;
   }
   EXPECT_EQ(shard_received, 2u);  // cold solve + payments; warm was inline
+  client.close();
+}
+
+TEST(ShardRouterTest, RepeatsFollowTheRing) {
+  // A repeat of a request answered inline is still routed: with every
+  // shard dead it is refused like any other request, never answered
+  // from bytes the router kept.
+  RouterConfig config;
+  config.probe_dead_shards = false;
+  Federation fed(3, config);
+  SchedulerClient client(fed.router->connect());
+  const std::vector<double> w = {1.0, 1.2, 0.9, 1.1};
+  const std::vector<double> z = {0.15, 0.1, 0.2};
+
+  ASSERT_EQ(client.schedule(w, z).status, ScheduleStatus::kOk);  // cold
+  const auto warm = client.schedule(w, z);
+  ASSERT_EQ(warm.status, ScheduleStatus::kOk);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(fed.router->stats().inline_hits, 1u);
+
+  for (std::size_t s = 0; s < fed.shards.size(); ++s) {
+    fed.router->set_alive(s, false);
+  }
+  const auto repeat = client.schedule(w, z);
+  EXPECT_EQ(repeat.status, ScheduleStatus::kDegraded);
+  EXPECT_EQ(repeat.error, "no alive shard owns this key");
+  const RouterStats stats = fed.router->stats();
+  EXPECT_EQ(stats.no_owner, 1u);
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(stats.received, 3u);
+  EXPECT_EQ(stats.answered_ok, 2u);
+  EXPECT_EQ(stats.refused, 1u);
   client.close();
 }
 

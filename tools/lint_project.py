@@ -22,6 +22,14 @@ Rules (library code = everything under src/):
                        parent-relative `#include "../"` paths in src/ —
                        includes are rooted at src/ so files can move
                        without rewriting their includers.
+  metrics-documented   every metric name src/ emits (a string literal
+                       passed to DLS_COUNT, DLS_GAUGE_SET, DLS_GAUGE_MAX,
+                       DLS_OBSERVE or MetricsRegistry's counter / gauge /
+                       histogram) has a row in docs/OBSERVABILITY.md's
+                       metrics table, and every name that table lists is
+                       emitted. A `<kind>` placeholder in a documented
+                       name matches an emitted literal prefix (a literal
+                       followed by `+`). Checked on whole-tree runs only.
 
 A finding can be waived for one line with a trailing comment naming the
 rule, e.g. `// lint:allow(no-stdout-in-library): CLI entry point`.
@@ -72,6 +80,19 @@ EVERYWHERE_RULES = {"no-using-namespace"}
 # .hpp/.h, the parent-relative half to every src/ file).
 IOSTREAM_INCLUDE_RE = re.compile(r'#\s*include\s*<iostream>')
 PARENT_INCLUDE_RE = re.compile(r'#\s*include\s*"\.\./')
+
+# metrics-documented: where names are emitted and where they are listed.
+METRICS_DOC = Path("docs") / "OBSERVABILITY.md"
+# Comments (replaced by their newlines, so line numbers hold) and the
+# string / char literals a comment marker may hide in (kept as is).
+COMMENT_OR_LITERAL_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'',
+    re.S)
+METRIC_EMIT_RE = re.compile(
+    r'(?:\bDLS_(?:COUNT|GAUGE_SET|GAUGE_MAX|OBSERVE)'
+    r'|\.(?:counter|gauge|histogram))\s*\(\s*"([^"\\]+)"(\s*\+)?')
+METRIC_KIND_RE = re.compile(r"^\s*(?:counter|gauge|histogram)\b")
+BACKTICK_RE = re.compile(r"`([^`]+)`")
 
 
 def iter_source_files(root: Path) -> list[Path]:
@@ -131,6 +152,69 @@ def lint_file(path: Path, root: Path) -> list[str]:
     return findings
 
 
+def strip_comments(text: str) -> str:
+    return COMMENT_OR_LITERAL_RE.sub(
+        lambda m: m.group(0) if m.group(0)[0] in "\"'"
+        else "\n" * m.group(0).count("\n"),
+        text)
+
+
+def emitted_metrics(root: Path) -> list[tuple[str, bool, str]]:
+    """(name, is_prefix, "file:line") for every metric literal in src/."""
+    found: list[tuple[str, bool, str]] = []
+    for path in iter_source_files(root):
+        rel = path.relative_to(root)
+        if rel.parts[0] != "src":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        code = strip_comments(text)
+        for m in METRIC_EMIT_RE.finditer(code):
+            lineno = code.count("\n", 0, m.start()) + 1
+            if "lint:allow(metrics-documented)" in lines[lineno - 1]:
+                continue
+            found.append((m.group(1), m.group(2) is not None,
+                          f"{rel}:{lineno}"))
+    return found
+
+
+def documented_metrics(root: Path) -> list[tuple[str, str]]:
+    """(name, "doc:line") for every name in the metrics table."""
+    listed: list[tuple[str, str]] = []
+    doc = root / METRICS_DOC
+    for lineno, line in enumerate(
+            doc.read_text(encoding="utf-8").splitlines(), start=1):
+        cells = line.split("|")
+        if len(cells) < 4 or not METRIC_KIND_RE.match(cells[2]):
+            continue
+        for name in BACKTICK_RE.findall(cells[1]):
+            listed.append((name, f"{METRICS_DOC}:{lineno}"))
+    return listed
+
+
+def lint_metrics(root: Path) -> list[str]:
+    emitted = emitted_metrics(root)
+    documented = documented_metrics(root)
+
+    def matches(doc_name: str, name: str, is_prefix: bool) -> bool:
+        if "<" in doc_name:
+            return is_prefix and doc_name.split("<", 1)[0] == name
+        return not is_prefix and doc_name == name
+
+    findings: list[str] = []
+    for name, is_prefix, where in emitted:
+        if not any(matches(d, name, is_prefix) for d, _ in documented):
+            findings.append(
+                f"{where}: [metrics-documented] metric \"{name}\" has no "
+                f"row in {METRICS_DOC}'s metrics table")
+    for doc_name, where in documented:
+        if not any(matches(doc_name, n, p) for n, p, _ in emitted):
+            findings.append(
+                f"{where}: [metrics-documented] documented metric "
+                f"\"{doc_name}\" is emitted nowhere in src/")
+    return findings
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -151,6 +235,8 @@ def main(argv: list[str]) -> int:
     findings: list[str] = []
     for path in files:
         findings.extend(lint_file(path, REPO_ROOT))
+    if not args.paths:
+        findings.extend(lint_metrics(REPO_ROOT))
 
     for finding in findings:
         print(finding)
