@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "exec/thread_pool.hpp"
-#include "obs/obs.hpp"
 
 namespace dls::analysis {
 
@@ -41,18 +39,6 @@ std::vector<std::size_t> int_ladder(std::size_t lo, std::size_t hi,
     x *= factor;
   }
   if (out.empty() || out.back() != hi) out.push_back(hi);
-  return out;
-}
-
-std::vector<double> parallel_map(const std::vector<double>& grid,
-                                 const std::function<double(double)>& fn) {
-  DLS_REQUIRE(static_cast<bool>(fn), "parallel_map requires a function");
-  DLS_SPAN_ARGS("analysis.sweep",
-                "{\"points\":" + std::to_string(grid.size()) + "}");
-  DLS_COUNT("analysis.grid_points", grid.size());
-  std::vector<double> out(grid.size());
-  exec::ThreadPool::global().parallel_for(
-      grid.size(), [&](std::size_t i) { out[i] = fn(grid[i]); });
   return out;
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace dls::analysis {
@@ -17,12 +16,5 @@ std::vector<double> logspace(double lo, double hi, std::size_t count);
 /// e.g. {2, 4, 8, ..., hi}. Requires 1 <= lo <= hi.
 std::vector<std::size_t> int_ladder(std::size_t lo, std::size_t hi,
                                     double factor = 2.0);
-
-/// out[i] = fn(grid[i]), evaluated on the process-wide work-stealing
-/// pool. fn must be safe to call concurrently (pure functions of the
-/// grid point qualify); results are index-owned, so the output is
-/// identical at any worker count.
-std::vector<double> parallel_map(const std::vector<double>& grid,
-                                 const std::function<double(double)>& fn);
 
 }  // namespace dls::analysis

@@ -31,13 +31,6 @@ class InfeasibleError : public Error {
   explicit InfeasibleError(const std::string& what) : Error(what) {}
 };
 
-/// A protocol message failed authentication, integrity or consistency
-/// checks.
-class ProtocolError : public Error {
- public:
-  explicit ProtocolError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 
 // Overloaded on the message type so a literal message never materializes

@@ -81,12 +81,6 @@ DlsStarResult assess_dls_star(const net::StarNetwork& bid_network,
   return result;
 }
 
-DlsStarResult assess_dls_bus(const net::BusNetwork& bid_network,
-                             std::span<const double> actual_rates,
-                             const MechanismConfig& config) {
-  return assess_dls_star(bid_network.as_star(), actual_rates, config);
-}
-
 double star_utility_under_bid(const net::StarNetwork& true_network,
                               std::size_t index, double bid,
                               double actual_rate,

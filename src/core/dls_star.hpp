@@ -53,11 +53,6 @@ DlsStarResult assess_dls_star(const net::StarNetwork& bid_network,
                               std::span<const double> actual_rates,
                               const MechanismConfig& config);
 
-/// Bus convenience: shared channel time on every link.
-DlsStarResult assess_dls_bus(const net::BusNetwork& bid_network,
-                             std::span<const double> actual_rates,
-                             const MechanismConfig& config);
-
 /// Counterfactual utility for worker `index` bidding `bid` and executing
 /// at `actual_rate` while everyone else is truthful.
 double star_utility_under_bid(const net::StarNetwork& true_network,

@@ -7,6 +7,10 @@ namespace dls::obs {
 
 namespace {
 
+/// Signature of a trace clock: returns a monotonically non-decreasing
+/// nanosecond (or tick) count.
+using ClockFn = std::uint64_t (*)();
+
 std::uint64_t steady_now() noexcept {
   // Anchor at the first call so timestamps are small, positive offsets
   // into the run rather than epoch-sized numbers.
@@ -39,10 +43,6 @@ void use_steady_clock() noexcept {
 void use_logical_clock() noexcept {
   g_logical_tick.store(0, std::memory_order_relaxed);
   g_clock.store(&logical_now, std::memory_order_relaxed);
-}
-
-void install_clock(ClockFn fn) noexcept {
-  g_clock.store(fn, std::memory_order_relaxed);
 }
 
 }  // namespace dls::obs

@@ -12,10 +12,6 @@
 
 namespace dls::obs {
 
-/// Signature of a trace clock: returns a monotonically non-decreasing
-/// nanosecond (or tick) count.
-using ClockFn = std::uint64_t (*)();
-
 /// Current trace time from whichever clock is installed.
 std::uint64_t now_ns() noexcept;
 
@@ -26,8 +22,5 @@ void use_steady_clock() noexcept;
 /// Each now_ns() call returns the next integer tick; with a fixed call
 /// sequence the timestamps are reproducible bit-for-bit.
 void use_logical_clock() noexcept;
-
-/// Installs an arbitrary clock (for tests that need custom timelines).
-void install_clock(ClockFn fn) noexcept;
 
 }  // namespace dls::obs

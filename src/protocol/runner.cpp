@@ -400,10 +400,6 @@ void phase4(Round& round) {
   // the root audits each bill with probability q.
   const double q = round.options.mechanism.audit_probability;
   for (std::size_t j = 1; j < n; ++j) {
-    if (std::find(round.options.unpaid.begin(), round.options.unpaid.end(),
-                  j) != round.options.unpaid.end()) {
-      continue;  // the root refuses this processor's bill
-    }
     const core::Assessment& a = round.report.assessment.processors[j];
     const double correct = a.money.payment;
     const double overcharge = round.behavior(j).overcharge;

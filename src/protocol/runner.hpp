@@ -103,12 +103,6 @@ struct ProtocolOptions {
   /// posted. Theorem 5.1 fails without fines: load shedding becomes
   /// profitable. Keep true except in the ablation bench.
   bool fines_enabled = true;
-
-  /// Processors whose bills the root refuses to pay this round (the
-  /// session layer's exclusion policy; mirrors the paper's Q_j = 0 rule
-  /// for non-contributing processors). They are still assessed and
-  /// metered — they just receive nothing.
-  std::vector<std::size_t> unpaid;
 };
 
 /// Runs one full round. `true_network` holds the true rates t_i (w(0) is

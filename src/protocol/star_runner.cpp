@@ -260,10 +260,4 @@ StarRunReport run_star_protocol(const net::StarNetwork& true_network,
   return report;
 }
 
-StarRunReport run_bus_protocol(const net::BusNetwork& true_network,
-                               const agents::Population& population,
-                               const ProtocolOptions& options) {
-  return run_star_protocol(true_network.as_star(), population, options);
-}
-
 }  // namespace dls::protocol

@@ -54,9 +54,4 @@ StarRunReport run_star_protocol(const net::StarNetwork& true_network,
                                 const agents::Population& population,
                                 const ProtocolOptions& options);
 
-/// Bus convenience: the shared channel is a star with equal link times.
-StarRunReport run_bus_protocol(const net::BusNetwork& true_network,
-                               const agents::Population& population,
-                               const ProtocolOptions& options);
-
 }  // namespace dls::protocol

@@ -168,31 +168,7 @@ void write_frame(Transport& end, const Frame& frame) {
 }
 
 std::optional<Frame> read_frame(Transport& end, double timeout_s) {
-  std::array<std::uint8_t, kFrameHeaderSize> header{};
-  const ReadOutcome got = end.read_partial(header, timeout_s);
-  if (!got.complete) {
-    if (!got.closed) {
-      throw TransportTimeout("read of a frame header timed out");
-    }
-    if (got.received == 0) return std::nullopt;  // clean EOF between frames
-    throw FrameTruncationError(
-        "peer closed inside a frame header (" +
-            std::to_string(got.received) + " of " +
-            std::to_string(kFrameHeaderSize) + " bytes arrived)",
-        /*peer_closed=*/true, kFrameHeaderSize, got.received);
-  }
-  codec::Reader r(header);
-  const Header parsed = take_header(r);
-  r.expect_done();
-  Frame frame;
-  frame.type = parsed.type;
-  frame.payload.resize(parsed.length);
-  if (parsed.length > 0) {
-    read_or_report(end, frame.payload, timeout_s, "frame payload",
-                   parsed.length);
-  }
-  verify_checksum(frame, parsed.checksum);
-  return frame;
+  return read_frame_resync(end, 0, nullptr, timeout_s);
 }
 
 std::optional<Frame> read_frame_resync(Transport& end,

@@ -1,5 +1,6 @@
 // Execution of tree schedules with possibly-deviant nodes — the tree
-// analogue of sim/linear_execution.hpp (Phase III of the tree protocol).
+// analogue of sim/linear_execution.hpp, and the timed oracle for the
+// closed-form finish times of dlt::tree_finish_times.
 //
 // A node owns its inbound load when the bulk transfer from its parent
 // completes, keeps its (possibly shed) local share, and distributes the

@@ -11,11 +11,8 @@
 #include "core/dls_star.hpp"
 #include "dlt/linear.hpp"
 #include "net/networks.hpp"
-#include "net/tree.hpp"
-#include "core/dls_tree.hpp"
 #include "protocol/runner.hpp"
 #include "protocol/star_runner.hpp"
-#include "protocol/tree_runner.hpp"
 #include "sim/linear_execution.hpp"
 
 namespace {
@@ -89,65 +86,6 @@ TEST_P(RandomizedIntegration, MixedDeviantsAllEndBelowHonest) {
       EXPECT_LE(report.processors[deviant].utility,
                 honest.processors[deviant].utility + 1e-9)
           << b.name << " at P" << deviant;
-    }
-  }
-}
-
-TEST_P(RandomizedIntegration, TreeProtocolAgreesWithCentralMechanism) {
-  Rng rng(GetParam() ^ 0x7ee7u);
-  const auto n = static_cast<std::size_t>(rng.uniform_int(3, 12));
-  const auto tree =
-      dls::net::TreeNetwork::random(n, rng, dls::analysis::kWLo,
-                                    dls::analysis::kWHi, dls::analysis::kZLo,
-                                    dls::analysis::kZHi);
-  std::vector<StrategicAgent> agents;
-  for (std::size_t v = 1; v < n; ++v) {
-    agents.push_back(StrategicAgent{v, tree.w(v), Behavior::truthful()});
-  }
-  const auto report = dls::protocol::run_tree_protocol(
-      tree, Population(std::move(agents)), {});
-  ASSERT_FALSE(report.aborted);
-  std::vector<double> rates(n);
-  for (std::size_t v = 0; v < n; ++v) rates[v] = tree.w(v);
-  const auto central = dls::core::assess_dls_tree(
-      tree, rates, dls::core::MechanismConfig{});
-  for (std::size_t v = 1; v < n; ++v) {
-    EXPECT_NEAR(report.nodes[v].utility, central.nodes[v].utility, 1e-9)
-        << "node " << v;
-    EXPECT_GE(report.nodes[v].utility, -1e-9);
-  }
-  EXPECT_NEAR(report.ledger.conservation_residual(), 0.0, 1e-9);
-}
-
-TEST_P(RandomizedIntegration, TreeProtocolDeviantsNeverProfit) {
-  Rng rng(GetParam() ^ 0x1e3fu);
-  const auto n = static_cast<std::size_t>(rng.uniform_int(4, 10));
-  const auto tree =
-      dls::net::TreeNetwork::random(n, rng, dls::analysis::kWLo,
-                                    dls::analysis::kWHi, dls::analysis::kZLo,
-                                    dls::analysis::kZHi);
-  auto population = [&](std::size_t deviant, const Behavior& b) {
-    std::vector<StrategicAgent> agents;
-    for (std::size_t v = 1; v < n; ++v) {
-      agents.push_back(StrategicAgent{
-          v, tree.w(v), v == deviant ? b : Behavior::truthful()});
-    }
-    return Population(std::move(agents));
-  };
-  dls::protocol::ProtocolOptions options;
-  options.mechanism.audit_probability = 1.0;
-  const auto honest =
-      dls::protocol::run_tree_protocol(tree, population(0, {}), options);
-  const std::vector<Behavior> deviations = {
-      Behavior::underbid(0.5), Behavior::overbid(2.0),
-      Behavior::slow_execution(1.6), Behavior::overcharger(0.3)};
-  for (const Behavior& b : deviations) {
-    for (std::size_t deviant = 1; deviant < n; ++deviant) {
-      const auto report = dls::protocol::run_tree_protocol(
-          tree, population(deviant, b), options);
-      EXPECT_LE(report.nodes[deviant].utility,
-                honest.nodes[deviant].utility + 1e-9)
-          << b.name << " at node " << deviant;
     }
   }
 }

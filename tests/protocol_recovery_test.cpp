@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "net/networks.hpp"
 #include "protocol/recovery.hpp"
-#include "protocol/session.hpp"
 #include "sim/faults.hpp"
 
 namespace {
@@ -342,36 +341,6 @@ TEST(RunProtocolFt, SameSeedRunsReplayBitIdentically) {
   }
   EXPECT_DOUBLE_EQ(a.degraded_makespan, b.degraded_makespan);
   EXPECT_DOUBLE_EQ(a.detection_latency, b.detection_latency);
-}
-
-// ---------------------------------------------------------------------------
-// Session integration: crashes accumulate forensics but no strikes.
-
-TEST(Session, CrashesAreSettledWithoutReputationStrikes) {
-  const LinearNetwork net = test_network();
-  dls::protocol::SessionOptions options;
-  options.rounds = 6;
-  options.round_options.seed = 11;
-  options.crash_probability = 0.35;
-  const auto session =
-      dls::protocol::run_session(net, truthful_population(net), options);
-  ASSERT_EQ(session.rounds.size(), 6u);
-  // With p=0.35 over 5 workers and 6 rounds a crash is overwhelmingly
-  // likely under the fixed session seed.
-  EXPECT_GT(session.crashes_total, 0u);
-  EXPECT_GT(session.mean_detection_latency(), 0.0);
-  // Truthful processors never earn strikes, crashes included.
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    EXPECT_EQ(session.strikes[i], 0u) << i;
-    EXPECT_FALSE(session.is_excluded(i)) << i;
-  }
-  std::size_t counted = 0;
-  for (const std::size_t c : session.crash_counts) counted += c;
-  EXPECT_EQ(counted, session.crashes_total);
-  // Every round conserves money.
-  for (const auto& round : session.rounds) {
-    EXPECT_NEAR(round.ledger.conservation_residual(), 0.0, 1e-9);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the discrete-event engine, the chain execution model and the
-// Gantt renderer. The central property: the simulator reproduces the
-// closed forms of eqs. (2.1)-(2.2) exactly.
+// Tests for the discrete-event engine, the chain and tree execution
+// models and the Gantt renderer. The central property: the simulator
+// reproduces the closed forms of eqs. (2.1)-(2.2) exactly.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,11 +8,14 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dlt/linear.hpp"
+#include "dlt/tree.hpp"
 #include "net/networks.hpp"
+#include "net/tree.hpp"
 #include "sim/gantt.hpp"
 #include "sim/linear_execution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "sim/tree_execution.hpp"
 
 namespace {
 
@@ -20,6 +23,7 @@ using dls::common::Rng;
 using dls::dlt::finish_times;
 using dls::dlt::solve_linear_boundary;
 using dls::net::LinearNetwork;
+using dls::net::TreeNetwork;
 using dls::sim::Activity;
 using dls::sim::execute_linear;
 using dls::sim::ExecutionPlan;
@@ -181,6 +185,41 @@ TEST(ExecuteLinear, ValidatesPlanShape) {
   plan.retain_fraction = {0.5, 1.0};
   plan.actual_rate = {1.0, 0.0};
   EXPECT_THROW(execute_linear(net, plan), dls::PreconditionError);
+}
+
+// Shape: 0 -> {1, 2}; 1 -> {3, 4}
+TreeNetwork test_tree() {
+  return TreeNetwork({1.0, 1.2, 0.8, 1.5, 0.9},
+                     {1.0, 0.2, 0.15, 0.25, 0.1}, {0, 0, 0, 1, 1});
+}
+
+TEST(ExecuteTree, CompliantRunMatchesSolver) {
+  const TreeNetwork tree = test_tree();
+  const auto sol = dls::dlt::solve_tree(tree);
+  const auto result = dls::sim::execute_tree(
+      tree, sol, dls::sim::TreeExecutionPlan::compliant(tree));
+  const auto closed = dls::dlt::tree_finish_times(tree, sol);
+  for (std::size_t v = 0; v < tree.size(); ++v) {
+    EXPECT_NEAR(result.finish_time[v], closed[v], 1e-9) << "node " << v;
+    EXPECT_NEAR(result.computed[v], sol.alpha[v], 1e-12);
+    EXPECT_NEAR(result.received[v], sol.received[v], 1e-12);
+  }
+  EXPECT_NEAR(result.makespan, sol.makespan, 1e-9);
+  EXPECT_TRUE(result.trace.check_one_port().empty());
+}
+
+TEST(ExecuteTree, SheddingOverloadsTheChildren) {
+  const TreeNetwork tree = test_tree();
+  const auto sol = dls::dlt::solve_tree(tree);
+  auto plan = dls::sim::TreeExecutionPlan::compliant(tree);
+  plan.keep_multiplier[1] = 0.5;  // node 1 sheds half its keep
+  const auto result = dls::sim::execute_tree(tree, sol, plan);
+  EXPECT_LT(result.computed[1], sol.alpha[1]);
+  EXPECT_GT(result.received[3], sol.received[3] + 1e-12);
+  EXPECT_GT(result.received[4], sol.received[4] + 1e-12);
+  double total = 0.0;
+  for (const double c : result.computed) total += c;
+  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(Gantt, RendersCommAboveAndComputeBelow) {

@@ -30,6 +30,14 @@ Rules (library code = everything under src/):
                        emitted. A `<kind>` placeholder in a documented
                        name matches an emitted literal prefix (a literal
                        followed by `+`). Checked on whole-tree runs only.
+  module-reached       every file under src/ is reached from a source
+                       under bench/, examples/ or perfbench/: a header
+                       through a chain of #include "…" lines, a .cpp
+                       through its reached header (whose own includes
+                       the walk then follows). Code that no bench,
+                       example or benchmark workload runs gets wired
+                       into one or deleted. Checked on whole-tree runs
+                       only.
 
 A finding can be waived for one line with a trailing comment naming the
 rule, e.g. `// lint:allow(no-stdout-in-library): CLI entry point`.
@@ -94,10 +102,20 @@ METRIC_EMIT_RE = re.compile(
 METRIC_KIND_RE = re.compile(r"^\s*(?:counter|gauge|histogram)\b")
 BACKTICK_RE = re.compile(r"`([^`]+)`")
 
+# module-reached: the directories whose sources are the entry points,
+# and the include form the walk follows (system <...> includes are not
+# first-party). A quoted include resolves beside the including file
+# first, then under src/.
+ENTRY_DIRS = ("bench", "examples", "perfbench")
+QUOTE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
 
-def iter_source_files(root: Path) -> list[Path]:
+
+def iter_source_files(
+        root: Path,
+        tops: tuple[str, ...] = ("src", "tests", "bench", "examples"),
+) -> list[Path]:
     files: list[Path] = []
-    for top in ("src", "tests", "bench", "examples"):
+    for top in tops:
         base = root / top
         if not base.is_dir():
             continue
@@ -215,6 +233,39 @@ def lint_metrics(root: Path) -> list[str]:
     return findings
 
 
+def lint_modules(root: Path) -> list[str]:
+    src = (root / "src").resolve()
+    pending = [p.resolve() for p in iter_source_files(root, ENTRY_DIRS)]
+    reached: set[Path] = set()
+
+    def reach(path: Path) -> None:
+        if path not in reached:
+            reached.add(path)
+            pending.append(path)
+
+    while pending:
+        path = pending.pop()
+        for name in QUOTE_INCLUDE_RE.findall(
+                path.read_text(encoding="utf-8")):
+            header = next((c for c in ((path.parent / name).resolve(),
+                                       (src / name).resolve())
+                           if c.is_file()), None)
+            if header is None:
+                continue
+            reach(header)
+            source = header.with_suffix(".cpp")
+            if header.is_relative_to(src) and source.is_file():
+                reach(source)
+
+    return [
+        f"{p.relative_to(root)}:1: [module-reached] no #include chain "
+        f"from {', '.join(d + '/' for d in ENTRY_DIRS)} reaches this "
+        "file; run it from a bench, an example or perfbench, or delete it"
+        for p in iter_source_files(root, ("src",))
+        if p.resolve() not in reached
+    ]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -237,6 +288,7 @@ def main(argv: list[str]) -> int:
         findings.extend(lint_file(path, REPO_ROOT))
     if not args.paths:
         findings.extend(lint_metrics(REPO_ROOT))
+        findings.extend(lint_modules(REPO_ROOT))
 
     for finding in findings:
         print(finding)
