@@ -201,52 +201,6 @@ void bm_serve_cache_speedup(benchmark::State& state) {
 BENCHMARK(bm_serve_cache_speedup)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Dispatch-window batching under closed-loop load: C clients, cache
-// disabled so every request is a solver miss, chains long enough that
-// the solve dominates the transport. Arg(0) runs with batching off
-// (batch_min_lanes = 0), Arg(1) with the default threshold; comparing
-// the rows' items/sec shows what coalescing same-length misses into one
-// SoA solve buys when concurrent traffic piles up in a dispatch window.
-// batched_share reports how much of the kOk traffic actually rode a
-// batch lane (or alias) rather than the classic per-request path.
-void bm_serve_batch_dispatch(benchmark::State& state) {
-  const bool batching = state.range(0) == 1;
-  constexpr std::size_t kClients = 4;
-  constexpr std::size_t kDispatchChain = 2048;
-  constexpr int kDispatchRequests = 32;
-  const std::vector<Topology> topos =
-      make_topologies(kClients, kDispatchChain);
-
-  dls::serve::ServiceConfig config;
-  config.queue_capacity = 4 * kClients;
-  config.cache_capacity = 0;  // every request re-solves
-  config.max_batch = kClients;
-  config.batch_min_lanes = batching ? 2 : 0;
-  dls::serve::SchedulerService service(config);
-
-  std::vector<double> latencies_us;
-  for (auto _ : state) {
-    run_closed_loop(service, kClients, kDispatchRequests, topos,
-                    latencies_us);
-  }
-
-  const auto total = static_cast<std::int64_t>(kClients) *
-                     static_cast<std::int64_t>(kDispatchRequests) *
-                     static_cast<std::int64_t>(state.iterations());
-  state.SetItemsProcessed(total);  // items/sec == requests/sec
-  state.counters["p50_us"] = dls::common::percentile(latencies_us, 50.0);
-  state.counters["p99_us"] = dls::common::percentile(latencies_us, 99.0);
-  const dls::serve::ServiceStats stats = service.stats();
-  state.counters["batched_share"] =
-      stats.ok > 0
-          ? static_cast<double>(stats.batched) / static_cast<double>(stats.ok)
-          : 0.0;
-  state.counters["batch_groups"] = static_cast<double>(stats.batch_groups);
-  service.stop();
-}
-BENCHMARK(bm_serve_batch_dispatch)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // Chaos resilience: the robust client under 50% silent-disconnect
 // chaos (every request frame has a coin-flip chance of vanishing with
 // its connection). Arg(0) retries without a circuit breaker, Arg(1)

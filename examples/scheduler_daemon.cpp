@@ -70,7 +70,7 @@ int main() {
   pay.want_payments = true;
   print_response("carol + payments:", carol.schedule(w, z, pay));
 
-  // Backpressure: hold the dispatcher so the two queue slots fill, then
+  // Backpressure: hold the service so the two queue slots fill, then
   // watch the third request get shed — and succeed once the client's
   // probe-backoff retry finds the queue drained.
   service.pause();

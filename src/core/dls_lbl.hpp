@@ -87,7 +87,7 @@ const DlsLblResult& assess_compliant(const net::LinearNetwork& bid_network,
 /// solution receives a copy of α, α̂, w̄, D and the makespan (no
 /// reduction trace); passing ws.result.solution itself skips the copy.
 /// Allocation-free once ws has warmed to the chain size. This is the
-/// serve dispatcher's payment path.
+/// scheduling service's payment path.
 const DlsLblResult& assess_compliant_from_solution(
     const net::LinearNetwork& bid_network, const dlt::LinearSolution& solution,
     std::span<const double> actual_rates, const MechanismConfig& config,

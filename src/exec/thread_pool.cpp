@@ -1,6 +1,7 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/discipline.hpp"
 #include "common/error.hpp"
@@ -15,13 +16,19 @@ namespace {
 /// on the pool (the outer dispatch may hold every worker).
 thread_local bool t_inside_pool_body = false;
 
+/// Set while a pool with no workers runs posted tasks on this thread: a
+/// task posted meanwhile joins this queue and runs once the current one
+/// returns, so a task that re-posts itself loops instead of nesting.
+thread_local std::deque<std::function<void()>>* t_inline_tasks = nullptr;
+
 }  // namespace
 
+std::size_t ThreadPool::default_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 1 ? static_cast<std::size_t>(hw - 1) : 0;
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? static_cast<std::size_t>(hw - 1) : 0;
-  }
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
     workers_.emplace_back([this, t] { worker_loop(t); });
@@ -121,7 +128,38 @@ void ThreadPool::parallel_for_chunks(
     const std::scoped_lock lock(pool_mutex_);
     if (current_job_ == job) current_job_.reset();
   }
-  if (job->error) std::rethrow_exception(job->error);
+  // Taken out of the job, so the exception dies on this thread even when
+  // a worker drops the last reference to the job.
+  if (std::exception_ptr error = std::exchange(job->error, nullptr)) {
+    std::rethrow_exception(error);
+  }
+}
+
+void ThreadPool::post(std::function<void()> task) {
+  DLS_REQUIRE(static_cast<bool>(task), "post requires a task");
+  if (workers_.empty()) {
+    if (t_inline_tasks != nullptr) {
+      t_inline_tasks->push_back(std::move(task));
+      return;
+    }
+    std::deque<std::function<void()>> inline_tasks;
+    inline_tasks.push_back(std::move(task));
+    t_inline_tasks = &inline_tasks;
+    [&]() noexcept {  // a throwing task terminates, as on a worker
+      while (!inline_tasks.empty()) {
+        const std::function<void()> next = std::move(inline_tasks.front());
+        inline_tasks.pop_front();
+        next();
+      }
+    }();
+    t_inline_tasks = nullptr;
+    return;
+  }
+  {
+    const std::scoped_lock lock(pool_mutex_);
+    tasks_.push_back(std::move(task));
+  }
+  wake_cv_.notify_one();
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
@@ -129,9 +167,19 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   std::unique_lock lock(pool_mutex_);
   for (;;) {
     wake_cv_.wait(lock, [&] {
-      return stopping_ || (current_job_ && epoch_ != seen_epoch);
+      return stopping_ || !tasks_.empty() ||
+             (current_job_ && epoch_ != seen_epoch);
     });
-    if (stopping_) return;
+    if (!current_job_ || epoch_ == seen_epoch) {
+      if (tasks_.empty()) return;  // stopping, with every task run
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      lock.unlock();
+      task();
+      task = nullptr;  // released before the lock is retaken
+      lock.lock();
+      continue;
+    }
     seen_epoch = epoch_;
     const std::shared_ptr<Job> job = current_job_;
     lock.unlock();
@@ -156,8 +204,10 @@ void ThreadPool::run_chunks(Job& job, std::size_t self) {
   while (pop_or_steal(job, self, chunk)) {
     bool run = true;
     {
+      // A chunk below the lowest begin that threw still runs, so that
+      // begin keeps falling until the lowest throwing chunk has thrown.
       const std::scoped_lock state(job.state_mutex);
-      run = !job.cancelled;
+      run = !job.cancelled || chunk.begin < job.error_begin;
     }
     if (run) {
       // Scoped so the event is recorded before the chunks_remaining

@@ -16,8 +16,11 @@
 //     never blocks on a sleeping pool;
 //   * results must be index-owned (body(i) writes only slot i), which
 //     makes every sweep bit-identical at any worker count;
-//   * the first exception (lowest chunk start among those that threw)
-//     cancels the remaining chunks and is rethrown on the caller.
+//   * an exception cancels every chunk above the lowest begin that threw
+//     (chunks below it still run), so when several chunks throw the one
+//     with the lowest begin index is rethrown on the caller, independent
+//     of worker count.
+// post() hands the workers one-off tasks besides the chunked jobs.
 #pragma once
 
 #include <condition_variable>
@@ -44,9 +47,10 @@ struct ForOptions {
 
 class ThreadPool {
  public:
-  /// `threads` pool workers in addition to the submitting thread
-  /// (0 = hardware_concurrency - 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// `threads` pool workers in addition to the submitting thread, by
+  /// default hardware_concurrency - 1. With 0 workers everything runs on
+  /// the caller.
+  explicit ThreadPool(std::size_t threads = default_threads());
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -71,8 +75,18 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& body,
       ForOptions options = {});
 
-  /// The process-wide pool used by the sweep drivers and the analysis
-  /// grids. Created on first use, joined at exit.
+  /// Runs `task` once on a pool worker, FIFO with the other posted
+  /// tasks, and returns without waiting for it. A pool with no workers
+  /// runs it on the caller before returning; posted from inside such a
+  /// task, it runs right after that task, so tasks never nest. The task
+  /// must not throw (an escaping exception terminates, as from a
+  /// std::thread). The destructor runs every task still queued before
+  /// joining.
+  void post(std::function<void()> task);
+
+  /// The process-wide pool used by the sweep drivers, the analysis
+  /// grids and the scheduling service. Created on first use, joined at
+  /// exit.
   static ThreadPool& global();
 
  private:
@@ -101,6 +115,8 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
+  /// hardware_concurrency - 1 (0 on a single-CPU host).
+  static std::size_t default_threads();
   void worker_loop(std::size_t worker_index);
   /// Drains the job's deques from `self` (own deque first, then steals);
   /// returns when no chunk is left anywhere.
@@ -113,6 +129,7 @@ class ThreadPool {
   std::condition_variable wake_cv_;
   std::shared_ptr<Job> current_job_;
   std::uint64_t epoch_ = 0;
+  std::deque<std::function<void()>> tasks_;  ///< posted, not yet started
   bool stopping_ = false;
 
   /// Serialises concurrent submissions from distinct caller threads.

@@ -12,9 +12,8 @@ namespace dls::net {
 namespace {
 
 /// Cold failure path of require_positive, kept out of line so the check
-/// loop never builds a message: LinearNetwork::validate also runs inside
-/// BatchLinearSolver::set_instance on the dispatcher's allocation-free
-/// batch path (see tools/dls_analyze/waivers.conf).
+/// loop never builds a message: LinearNetwork::validate also checks
+/// every lane BatchLinearSolver::set_instance stages.
 [[noreturn]] void throw_rate_domain(const char* what, double v) {
   throw dls::InfeasibleError(std::string(what) +
                              " must be finite and positive, got " +

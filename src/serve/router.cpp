@@ -181,7 +181,7 @@ void ShardRouter::handle_request(Session& session,
   }
   // Colocated fast path: with no replication to cross-check, a
   // payment-free cache hit on the primary's in-process service skips
-  // the wire, the admission queue and the dispatcher entirely.
+  // the wire and the admission lanes entirely.
   if (inline_enabled()) {
     SchedulerService* local = config_.local[owners[0]];
     ScheduleResponse response;

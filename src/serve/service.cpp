@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/discipline.hpp"
 #include "multiload/payments.hpp"
 #include "multiload/solver.hpp"
 #include "net/networks.hpp"
@@ -20,7 +19,7 @@ double elapsed_us(std::chrono::steady_clock::time_point since,
 }
 
 /// The kOk answer a solution gives: bit-identical whether the solution
-/// came from the cache, a fresh solve or a batch lane.
+/// came from the cache or a fresh solve.
 ScheduleResponse solved(std::uint64_t request_id,
                         const dlt::LinearSolution& solution, bool cache_hit) {
   ScheduleResponse response;
@@ -43,11 +42,11 @@ void observe_latency([[maybe_unused]] double us) {
 
 }  // namespace
 
-SchedulerService::SchedulerService(ServiceConfig config,
-                                   exec::ThreadPool* pool)
+SchedulerService::SchedulerService(ServiceConfig config)
     : config_(config),
-      pool_(pool != nullptr ? pool : &exec::ThreadPool::global()),
+      pool_(exec::ThreadPool::global()),
       cache_(config.cache_capacity),
+      lanes_(pool_.worker_count()),
       paused_(config.start_paused),
       sessions_(config.poison_budget, config.resync_scan_bytes,
                 [this](Session& session, const Frame& frame) {
@@ -55,8 +54,6 @@ SchedulerService::SchedulerService(ServiceConfig config,
                 }) {
   DLS_REQUIRE(config_.queue_capacity >= 1,
               "service needs a queue of at least one request");
-  DLS_REQUIRE(config_.max_batch >= 1, "max_batch must be at least 1");
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
 SchedulerService::~SchedulerService() { stop(); }
@@ -79,25 +76,45 @@ void SchedulerService::pause() {
 }
 
 void SchedulerService::resume() {
+  std::vector<Lane*> held;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     paused_ = false;
+    for (Lane& lane : lanes_) {
+      if (!lane.scheduled && !lane.queue.empty()) {
+        lane.scheduled = true;
+        held.push_back(&lane);
+      }
+    }
   }
-  queue_cv_.notify_all();
+  for (Lane* lane : held) post(*lane);
 }
 
 void SchedulerService::stop() {
+  std::vector<Pending> rest;
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
+    std::unique_lock<std::mutex> lock(queue_mutex_);
     stopping_.store(true, std::memory_order_release);
-    paused_ = false;
+    // A running task finishes its request; none claims another.
+    lanes_idle_.wait(lock, [&] {
+      return std::none_of(lanes_.begin(), lanes_.end(),
+                          [](const Lane& lane) { return lane.scheduled; });
+    });
+    for (Lane& lane : lanes_) {
+      for (Pending& pending : lane.queue) rest.push_back(std::move(pending));
+      lane.queue.clear();
+    }
+    queued_ = 0;
   }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // The dispatcher answered everything queued; only now close the
-  // connections (unblocking every reader with EOF). A reader still
-  // admitting meanwhile is shed, since stopping_ is set; the in-place
-  // rule declines from the same moment.
+  // Drain on stop: everything still queued is answered, not dropped.
+  for (const Pending& pending : rest) {
+    refuse(pending, ScheduleStatus::kError,
+           "service stopped before the request was served");
+    pending.session->pending.fetch_sub(1, std::memory_order_release);
+  }
+  // Only now close the connections (unblocking every reader with EOF). A
+  // reader still admitting meanwhile is shed, since stopping_ is set;
+  // the in-place rule declines from the same moment.
   sessions_.stop();
 }
 
@@ -110,9 +127,6 @@ ServiceStats SchedulerService::stats() const {
   stats.expired = read_tally(tallies_.expired);
   stats.errors = read_tally(tallies_.errors);
   stats.degraded = read_tally(tallies_.degraded);
-  stats.batched = read_tally(tallies_.batched);
-  stats.batch_groups = read_tally(tallies_.batch_groups);
-  stats.batch_deduped = read_tally(tallies_.batch_deduped);
   stats.inline_hits = read_tally(tallies_.inline_hits);
   stats.multi_received = read_tally(tallies_.multi_received);
   stats.multi_loads = read_tally(tallies_.multi_loads);
@@ -163,7 +177,7 @@ void SchedulerService::on_frame(Session& session, const Frame& frame) {
 bool SchedulerService::serve_in_place(const ScheduleRequest& request,
                                       const Session* session, codec::Bytes& key,
                                       ScheduleResponse& response) {
-  // A deadline is admission-relative and owned by the dispatcher, which
+  // A deadline is admission-relative and owned by the lane task, which
   // may expire the request where this would answer it.
   if (request.options.want_payments ||
       deadline_of(request.options.deadline_us) > 0.0 ||
@@ -188,7 +202,7 @@ bool SchedulerService::try_brownout(const Pending& pending) {
   if (config_.brownout_watermark == 0) return false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() < config_.brownout_watermark) return false;
+    if (queued_ < config_.brownout_watermark) return false;
   }
   // Above the watermark the solver pool is the bottleneck. The in-place
   // rule already answered every hit it could; the rest — misses,
@@ -203,16 +217,21 @@ bool SchedulerService::try_brownout(const Pending& pending) {
 
 void SchedulerService::admit(Pending pending) {
   if (try_brownout(pending)) return;
+  Lane& lane = lanes_[pending.session->id % lanes_.size()];
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
+    std::unique_lock<std::mutex> lock(queue_mutex_);
     if (!stopping_.load(std::memory_order_relaxed) &&
-        queue_.size() < config_.queue_capacity) {
+        queued_ < config_.queue_capacity) {
       pending.session->pending.fetch_add(1, std::memory_order_relaxed);
       pending.admitted_at = Clock::now();
-      queue_.push_back(std::move(pending));
-      DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queue_.size()));
+      lane.queue.push_back(std::move(pending));
+      ++queued_;
+      DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queued_));
       bump(tallies_.admitted);
-      queue_cv_.notify_one();
+      const bool start = !paused_ && !lane.scheduled;
+      if (start) lane.scheduled = true;
+      lock.unlock();
+      if (start) post(lane);
       return;
     }
   }
@@ -230,306 +249,53 @@ bool SchedulerService::expired(const Pending& pending,
          elapsed_us(pending.admitted_at, now) > deadline_us;
 }
 
-void SchedulerService::dispatch_loop() {
-  std::vector<Pending> batch;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [&] {
-        return stopping_.load(std::memory_order_relaxed) ||
-               (!paused_ && !queue_.empty());
-      });
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      const std::size_t take = std::min(config_.max_batch, queue_.size());
-      batch.clear();
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    try {
-      process_batch(batch);
-    } catch (const std::exception&) {
-      // Last-ditch backstop: process_batch guards its solve phase and
-      // the response writes swallow transport errors, so this is
-      // effectively unreachable — but an exception escaping here would
-      // std::terminate the whole service from the dispatcher thread,
-      // so the loop must never rethrow.
-      DLS_COUNT("serve.dispatch.batch_dropped");
-    }
+void SchedulerService::post(Lane& lane) {
+  pool_.post([this, &lane] { run_lane(lane); });
+}
+
+bool SchedulerService::keep_scheduled(Lane& lane) {
+  if (!paused_ && !stopping_.load(std::memory_order_relaxed) &&
+      !lane.queue.empty()) {
+    return true;
   }
-  // Drain on stop: everything still queued is answered, not dropped.
-  std::deque<Pending> rest;
+  lane.scheduled = false;
+  if (stopping_.load(std::memory_order_relaxed)) lanes_idle_.notify_all();
+  return false;
+}
+
+void SchedulerService::run_lane(Lane& lane) {
+  Pending pending;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    rest.swap(queue_);
+    if (!keep_scheduled(lane)) return;
+    pending = std::move(lane.queue.front());
+    lane.queue.pop_front();
+    --queued_;
   }
-  for (const Pending& pending : rest) {
-    refuse(pending, ScheduleStatus::kError,
-           "service stopped before the request was served");
-    pending.session->pending.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void SchedulerService::process_batch(std::vector<Pending>& batch) {
-  DLS_SPAN_ARGS("serve.dispatch",
-                "{\"batch\":" + std::to_string(batch.size()) + "}");
-  DLS_OBSERVE("serve.batch_size", static_cast<double>(batch.size()),
-              {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  std::vector<ScheduleResponse> responses(batch.size());
-  std::vector<MultiScheduleResponse> multi_responses(batch.size());
-  std::vector<SingleTask> singles;
-  std::vector<MissGroup> groups;
-  classify_window(batch, responses, singles, groups);
-  const std::size_t group_count = groups.size();
-  const std::size_t tasks = group_count + singles.size();
-  while (dispatch_scratch_.size() < tasks) {
-    dispatch_scratch_.push_back(std::make_unique<DispatchScratch>());
-  }
-  // Entries the parallel phase was computing when it failed; empty
-  // unless it did.
-  std::vector<bool> refused;
-  std::string failure;
   try {
-    pool_->parallel_for(tasks, [&](std::size_t t) {
-      DispatchScratch& scratch = *dispatch_scratch_[t];
-      if (t < group_count) {
-        solve_group(groups[t], scratch, batch, responses);
-      } else {
-        const SingleTask& task = singles[t - group_count];
-        const Pending& pending = batch[task.index];
-        if (pending.multi) {
-          multi_responses[task.index] = handle_multi(pending);
-        } else {
-          responses[task.index] = handle(pending, scratch.assess, &task);
-        }
-      }
-    });
-  } catch (const std::exception& e) {
-    // handle()/handle_multi()/solve_group() absorb per-request failures
-    // themselves, so only a failure outside them (response assignment,
-    // pool plumbing) lands here. The pool reports the first exception
-    // and the rest of the tasks still ran, but which entry it came from
-    // is unknown — refuse every entry that was being computed in
-    // parallel (classify_window results stand) and keep the dispatcher.
-    DLS_COUNT("serve.dispatch.batch_failed");
-    failure = e.what();
-    refused.assign(batch.size(), false);
-    for (const SingleTask& task : singles) refused[task.index] = true;
-    for (const MissGroup& group : groups) {
-      for (const std::size_t i : group.members) refused[i] = true;
-      for (const auto& [i, lane] : group.aliases) refused[i] = true;
-    }
-  }
-  // Responses are written serially, in admission order, after the
-  // parallel solve — frame writes are atomic either way, but serial
-  // writes keep per-connection response order deterministic.
-  const auto now = Clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Pending& pending = batch[i];
-    if (!refused.empty() && refused[i]) {
-      refuse(pending, ScheduleStatus::kError, failure);
-    } else if (pending.multi) {
-      answer(*pending.session, multi_responses[i]);
+    if (pending.multi) {
+      answer(*pending.session, handle_multi(pending));
     } else {
-      if (responses[i].status == ScheduleStatus::kOk) {
-        observe_latency(elapsed_us(pending.admitted_at, now));
-      }
-      answer(*pending.session, responses[i]);
-    }
-    pending.session->pending.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void SchedulerService::classify_window(std::vector<Pending>& batch,
-                                       std::vector<ScheduleResponse>& responses,
-                                       std::vector<SingleTask>& singles,
-                                       std::vector<MissGroup>& groups) {
-  if (config_.batch_min_lanes == 0) {
-    // Dispatch-window batching disabled: everything takes the classic
-    // per-request path, untouched.
-    singles.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      singles.push_back(SingleTask{i, std::move(batch[i].key), nullptr});
-    }
-    return;
-  }
-  const auto now = Clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].multi) {
-      // Multi-load requests always take the per-request path: the
-      // answer depends on the whole load mix, so there is nothing to
-      // look up or coalesce with batchmates.
-      singles.push_back(SingleTask{i, {}, nullptr});
-      continue;
-    }
-    const ScheduleRequest& request = batch[i].request;
-    ScheduleResponse& response = responses[i];
-    response.request_id = request.request_id;
-
-    // Same deadline rule handle() applies before touching the solver:
-    // an expired batchmate is answered here and never occupies a lane.
-    if (expired(batch[i], now)) {
-      response.status = ScheduleStatus::kExpired;
-      continue;
-    }
-
-    // Validate exactly as handle() would; invalid instances go to the
-    // single path so their kError response is produced by the same code.
-    try {
-      net::LinearNetwork::validate(request.w, request.z);
-    } catch (const dls::Error&) {
-      singles.push_back(SingleTask{i, {}, nullptr});
-      continue;
-    }
-
-    // A request the reader's in-place rule looked up arrives as a known
-    // miss with its key; any other is looked up here, once.
-    codec::Bytes key = std::move(batch[i].key);
-    SolveCache::Value solution;
-    if (key.empty()) {
-      key = canonical_topology_key(request.w, request.z);
-      solution = cache_.lookup(key);
-    }
-    if (solution) {
-      if (request.options.want_payments) {
-        // A hit that wants payments is assessed from the cached
-        // solution on the classic path (handing over the hit and its
-        // key so neither is computed twice).
-        singles.push_back(SingleTask{i, std::move(key), std::move(solution)});
-        continue;
-      }
-      response = solved(request.request_id, *solution, /*cache_hit=*/true);
-      continue;
-    }
-
-    // Cache miss: group by chain length; identical topologies collapse
-    // into one lane (payment-carrying requests keep their own lane so
-    // each gets its own mechanism run).
-    const std::size_t chain = request.w.size();
-    MissGroup* group = nullptr;
-    for (MissGroup& g : groups) {
-      if (g.chain == chain) {
-        group = &g;
-        break;
+      const ScheduleResponse response = handle(pending, lane.assess);
+      answer(*pending.session, response);
+      if (response.status == ScheduleStatus::kOk) {
+        observe_latency(elapsed_us(pending.admitted_at, Clock::now()));
       }
     }
-    if (group == nullptr) {
-      groups.emplace_back();
-      group = &groups.back();
-      group->chain = chain;
-    }
-    if (!request.options.want_payments) {
-      bool aliased = false;
-      for (std::size_t lane = 0; lane < group->keys.size(); ++lane) {
-        if (group->keys[lane] == key) {
-          group->aliases.emplace_back(i, lane);
-          aliased = true;
-          break;
-        }
-      }
-      if (aliased) continue;
-    }
-    group->members.push_back(i);
-    group->keys.push_back(std::move(key));
+  } catch (const std::exception&) {
+    // Backstop: handle()/handle_multi() absorb per-request failures and
+    // writes swallow transport errors, so this is effectively
+    // unreachable — but an exception escaping a pool task would
+    // std::terminate the process.
+    DLS_COUNT("serve.lane.dropped");
   }
-
-  // Undersized groups don't amortise the batch machinery; hand their
-  // members back to the per-request path (aliases justify keeping a
-  // group regardless — one solve still answers several requests).
-  for (auto it = groups.begin(); it != groups.end();) {
-    if (it->members.size() < config_.batch_min_lanes &&
-        it->aliases.empty()) {
-      for (std::size_t lane = 0; lane < it->members.size(); ++lane) {
-        // Classification already looked these up (known misses).
-        singles.push_back(
-            SingleTask{it->members[lane], std::move(it->keys[lane]), nullptr});
-      }
-      it = groups.erase(it);
-    } else {
-      ++it;
-    }
+  pending.session->pending.fetch_sub(1, std::memory_order_release);
+  bool again = false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    again = keep_scheduled(lane);
   }
-}
-
-// The dispatcher's inner loop: stages every lane of a miss group into
-// the warmed batch solver and runs it. Split from solve_group so the
-// part that must stay allocation-free under load carries the
-// DLS_HOT_NOALLOC contract, while the response fan-out above it is free
-// to build strings and shared_ptrs.
-DLS_HOT_NOALLOC
-void SchedulerService::solve_group_lanes(const MissGroup& group,
-                                         DispatchScratch& scratch,
-                                         const std::vector<Pending>& batch) {
-  const std::size_t lanes = group.members.size();
-  scratch.solver.begin(group.chain, lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const ScheduleRequest& request = batch[group.members[lane]].request;
-    scratch.solver.set_instance(lane, request.w, request.z);
-  }
-  scratch.solver.solve();
-}
-
-void SchedulerService::solve_group(const MissGroup& group,
-                                   DispatchScratch& scratch,
-                                   const std::vector<Pending>& batch,
-                                   std::vector<ScheduleResponse>& responses) {
-  const std::size_t lanes = group.members.size();
-  DLS_SPAN_ARGS("serve.batch.solve",
-                "{\"m\":" + std::to_string(group.chain) +
-                    ",\"k\":" + std::to_string(lanes) + "}");
-  DLS_COUNT("serve.batch.groups");
-  DLS_COUNT("serve.batch.lanes", lanes);
-  if (!group.aliases.empty()) {
-    DLS_COUNT("serve.batch.dedup", group.aliases.size());
-  }
-  bump(tallies_.batch_groups);
-  bump(tallies_.batched, lanes + group.aliases.size());
-  bump(tallies_.batch_deduped, group.aliases.size());
-
-  try {
-    solve_group_lanes(group, scratch, batch);
-  } catch (const std::exception& e) {
-    // A contract violation (or allocation failure) mid-batch poisons
-    // every lane equally; each member gets an error, aliases included.
-    const auto fail = [&](std::size_t i) {
-      responses[i] = refusal<ScheduleResponse>(batch[i].request.request_id,
-                                               ScheduleStatus::kError,
-                                               e.what());
-    };
-    for (const std::size_t i : group.members) fail(i);
-    for (const auto& [i, lane] : group.aliases) fail(i);
-    return;
-  }
-
-  std::vector<SolveCache::Value> solutions(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::size_t i = group.members[lane];
-    const ScheduleRequest& request = batch[i].request;
-    auto fresh = std::make_shared<dlt::LinearSolution>();
-    scratch.solver.extract(lane, *fresh);
-    solutions[lane] = std::move(fresh);
-    cache_.insert(group.keys[lane], solutions[lane]);
-
-    ScheduleResponse& response = responses[i];
-    response = solved(request.request_id, *solutions[lane],
-                      /*cache_hit=*/false);
-    if (request.options.want_payments) {
-      try {
-        const net::LinearNetwork network(request.w, request.z);
-        fill_payments(network, *solutions[lane], scratch.assess, response);
-      } catch (const std::exception& e) {
-        response = refusal<ScheduleResponse>(
-            request.request_id, ScheduleStatus::kError, e.what());
-      }
-    }
-  }
-
-  for (const auto& [i, lane] : group.aliases) {
-    responses[i] = solved(batch[i].request.request_id, *solutions[lane],
-                          /*cache_hit=*/false);
-  }
+  if (again) post(lane);
 }
 
 void SchedulerService::fill_payments(const net::LinearNetwork& network,
@@ -547,8 +313,7 @@ void SchedulerService::fill_payments(const net::LinearNetwork& network,
 }
 
 ScheduleResponse SchedulerService::handle(const Pending& pending,
-                                          core::AssessWorkspace& assess,
-                                          const SingleTask* prefetched) {
+                                          core::AssessWorkspace& assess) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
   if (expired(pending, Clock::now())) {
@@ -558,12 +323,12 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
   ScheduleResponse response;
   try {
     const net::LinearNetwork network(request.w, request.z);
-    const bool looked_up = prefetched != nullptr && !prefetched->key.empty();
+    // A key from the in-place rule is a known miss: looked up once only.
+    const bool known_miss = !pending.key.empty();
     codec::Bytes fresh_key;
-    if (!looked_up) fresh_key = canonical_topology_key(request.w, request.z);
-    const codec::Bytes& key = looked_up ? prefetched->key : fresh_key;
-    SolveCache::Value solution =
-        looked_up ? prefetched->solution : cache_.lookup(key);
+    if (!known_miss) fresh_key = canonical_topology_key(request.w, request.z);
+    const codec::Bytes& key = known_miss ? pending.key : fresh_key;
+    SolveCache::Value solution = known_miss ? nullptr : cache_.lookup(key);
     const bool cache_hit = solution != nullptr;
     if (!solution) {
       auto fresh = std::make_shared<dlt::LinearSolution>();
@@ -578,7 +343,7 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
     }
   } catch (const std::exception& e) {
     // Typed (dls::Error) or untyped (e.g. bad_alloc): refuse rather than
-    // unwind into the dispatcher thread and kill the service.
+    // unwind out of the lane task and kill the service.
     response = refusal<ScheduleResponse>(request.request_id,
                                          ScheduleStatus::kError, e.what());
   }
@@ -589,7 +354,7 @@ MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
   DLS_SPAN("serve.multi.handle");
   const MultiScheduleRequest& request = *pending.multi;
   if (expired(pending, Clock::now())) {
-    // Expired before dispatch: answered without scheduling a single
+    // Expired while queued: answered without scheduling a single
     // installment.
     return refusal<MultiScheduleResponse>(request.request_id,
                                           ScheduleStatus::kExpired);
@@ -633,8 +398,8 @@ MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
     response.status = ScheduleStatus::kOk;
   } catch (const std::exception& e) {
     // Typed (dls::Error) or untyped (bad_alloc, length_error from a
-    // hostile request size): letting it escape would unwind through the
-    // thread pool into the dispatcher thread and terminate the process.
+    // hostile request size): letting it escape would unwind out of the
+    // lane task and terminate the process.
     response = refusal<MultiScheduleResponse>(
         request.request_id, ScheduleStatus::kError, e.what());
   }

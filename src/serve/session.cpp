@@ -73,6 +73,7 @@ void SessionCore::adopt(std::unique_ptr<Transport> transport,
     }
   }
   auto session = std::make_unique<Session>();
+  session->id = ++next_id_;
   session->end = std::move(transport);
   session->state = std::move(state);
   Session* raw = session.get();

@@ -68,6 +68,7 @@ class SessionState {
 
 /// One client connection.
 struct Session {
+  std::uint64_t id = 0;                 ///< connection number, from adopt()
   std::unique_ptr<Transport> end;       ///< server side of the connection
   std::unique_ptr<SessionState> state;  ///< the owner's; may be null
   /// Owner work still holding a pointer to this session (queued
@@ -143,9 +144,10 @@ class SessionCore {
   Tally poison_frames_{0};
   Tally quarantined_{0};
 
-  std::mutex mutex_;  ///< guards sessions_ and stopped_
+  std::mutex mutex_;  ///< guards sessions_, stopped_ and next_id_
   std::vector<std::unique_ptr<Session>> sessions_;
   bool stopped_ = false;
+  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace dls::serve

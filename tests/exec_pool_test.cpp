@@ -1,11 +1,14 @@
 // Tests for the persistent work-stealing pool (exec/thread_pool.hpp):
 // coverage, determinism at any worker count, grain control, exception
-// propagation with cancellation, and nesting.
+// propagation with cancellation, nesting, and posted tasks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -144,6 +147,24 @@ TEST(ThreadPool, LowestIndexExceptionWinsWhenEveryBodyThrows) {
   }
 }
 
+TEST(ThreadPool, LowestIndexExceptionWinsAtGrainOne) {
+  // 64 one-index chunks: each owner pops its highest chunk first, so a
+  // high chunk throws before chunk 0 has started. Chunk 0 must still run
+  // and its exception must win.
+  ThreadPool pool(4);
+  try {
+    pool.parallel_for_chunks(
+        64,
+        [](std::size_t begin, std::size_t) {
+          throw dls::Error("chunk " + std::to_string(begin));
+        },
+        ForOptions{.grain = 1});
+    FAIL() << "expected a throw";
+  } catch (const dls::Error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+  }
+}
+
 TEST(ThreadPool, NestedSubmissionsRunInline) {
   ThreadPool pool(3);
   constexpr std::size_t kOuter = 16;
@@ -177,6 +198,98 @@ TEST(ThreadPool, GlobalPoolIsShared) {
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.worker_count(), 1u);
+}
+
+// In the post tests the pool is declared last, so its workers are
+// joined before the state its tasks touch is destroyed.
+TEST(ThreadPool, PostedTaskRunsOnAWorkerThread) {
+  std::thread::id ran_on;
+  std::latch done(1);
+  ThreadPool pool(2);
+  pool.post([&] {
+    ran_on = std::this_thread::get_id();
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, PostsFromManyThreadsEachRunExactlyOnce) {
+  constexpr std::size_t kPosters = 4;
+  constexpr std::size_t kPerPoster = 500;
+  std::vector<std::atomic<int>> runs(kPosters * kPerPoster);
+  std::latch done(static_cast<std::ptrdiff_t>(runs.size()));
+  ThreadPool pool(3);
+  std::vector<std::thread> posters;
+  for (std::size_t p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&, p] {
+      for (std::size_t i = 0; i < kPerPoster; ++i) {
+        pool.post([&, slot = p * kPerPoster + i] {
+          runs[slot].fetch_add(1);
+          done.count_down();
+        });
+      }
+    });
+  }
+  for (std::thread& poster : posters) poster.join();
+  done.wait();
+  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPool, ZeroWorkerPoolRunsPostOnTheCaller) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.worker_count(), 1u);
+  std::thread::id ran_on;
+  pool.post([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());  // ran before returning
+  std::vector<int> out(50, 0);
+  pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = 1; });
+  EXPECT_EQ(out, std::vector<int>(50, 1));
+
+  // A task that re-posts itself runs again after it returns, not nested
+  // inside itself, however often it does so.
+  constexpr int kRuns = 100'000;
+  int runs = 0;
+  int depth = 0;
+  int max_depth = 0;
+  std::function<void()> again = [&] {
+    max_depth = std::max(max_depth, ++depth);
+    if (++runs < kRuns) pool.post(again);
+    --depth;
+  };
+  pool.post(again);
+  EXPECT_EQ(runs, kRuns);
+  EXPECT_EQ(max_depth, 1);
+}
+
+TEST(ThreadPool, PostsInterleavedWithParallelForAllComplete) {
+  constexpr std::size_t kRounds = 40;
+  constexpr std::size_t kPostsPerRound = 8;
+  std::atomic<std::size_t> posted_runs{0};
+  std::latch done(static_cast<std::ptrdiff_t>(kRounds * kPostsPerRound));
+  ThreadPool pool(3);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < kPostsPerRound; ++k) {
+      pool.post([&] {
+        posted_runs.fetch_add(1);
+        done.count_down();
+      });
+    }
+    std::vector<std::size_t> out(257, 0);
+    if (round % 4 == 3) {
+      // A throwing sweep between posts: the posted tasks still run.
+      const auto throwing = [&](std::size_t i) {
+        if (i == 100) throw dls::Error("boom");
+        out[i] = i;
+      };
+      EXPECT_THROW(pool.parallel_for(out.size(), throwing), dls::Error);
+      continue;
+    }
+    pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = i + round; });
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + round);
+  }
+  done.wait();
+  EXPECT_EQ(posted_runs.load(), kRounds * kPostsPerRound);
 }
 
 TEST(ThreadPool, WorkerCapMatchesSerialAndRejectsNullBody) {

@@ -75,7 +75,7 @@ TEST(ServeAllocTest, WarmInPlaceHitAllocatesSevenTimes) {
     return dls::serve::decode_schedule_response(answer->payload);
   };
 
-  // The first request misses and is solved by the dispatcher. The hits
+  // The first request misses and is solved on its lane. The hits
   // after it register the metrics they touch on first use and grow both
   // pipes' buffers to their steady-state capacity.
   EXPECT_FALSE(round_trip().cache_hit);

@@ -3,7 +3,7 @@
 // through one service, and every kOk answer must be bit-identical to a
 // reference MultiLoadSolver / assess_loads run computed client-side.
 // Designed for the TSan CI job (multiload-soak): the single shared
-// admission queue, the dispatcher fan-out and the per-session writers
+// admission bound, the lane tasks on the pool and the per-session writers
 // all race here by construction, so any ordering bug or data race has
 // a deterministic oracle to trip over. DLS_SERVE_SOAK multiplies the
 // request volume.
@@ -164,7 +164,7 @@ TEST(ServeMultiLoadSoak, ConcurrentClientsAlwaysGetReferenceAnswers) {
         check_against_reference(request, response);
         multi_ok.fetch_add(1, std::memory_order_relaxed);
         // Interleave single-load traffic on the same connection so the
-        // two request kinds share every queue and dispatch window.
+        // two request kinds share every lane.
         const ScheduleResponse single =
             client.schedule(request.w, request.z);
         ASSERT_EQ(single.status, ScheduleStatus::kOk);

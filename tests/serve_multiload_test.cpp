@@ -137,7 +137,7 @@ TEST(ServeMultiLoadTest, MixedTrafficAnsweredInAdmissionOrder) {
   PipeEnd end = service.connect();
 
   // single, multi, single — one connection, admitted FIFO while the
-  // dispatcher is held, answered in exactly that order on resume.
+  // lanes are held, answered in exactly that order on resume.
   ScheduleRequest first;
   first.request_id = 1;
   first.w = kW;
@@ -150,8 +150,8 @@ TEST(ServeMultiLoadTest, MixedTrafficAnsweredInAdmissionOrder) {
   dls::serve::write_frame(
       end, Frame{FrameType::kScheduleRequest, encode_schedule_request(third)});
 
-  // Wait for all three to be admitted before releasing the dispatcher,
-  // so they land in one dispatch window deterministically.
+  // Wait for all three to be admitted before releasing the lanes, so
+  // they are queued together deterministically.
   while (service.stats().admitted < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -284,12 +284,11 @@ TEST(ServeMultiLoadTest, StopAnswersEveryQueuedMulti) {
 TEST(ServeMultiLoadTest, PauseResumeStaysDeterministic) {
   ServiceConfig config;
   config.start_paused = true;
-  config.max_batch = 1;  // one request per dispatcher wake-up
   SchedulerService service(config);
   PipeEnd end = service.connect();
 
   // Two pause/resume rounds of interleaved traffic: order within each
-  // round is admission order regardless of batching granularity.
+  // round is admission order.
   for (int round = 0; round < 2; ++round) {
     const std::uint64_t base = static_cast<std::uint64_t>(round) * 10;
     send_multi(end, make_multi(base + 1));
@@ -357,7 +356,7 @@ TEST(ServeMultiLoadTest, HostileFramesAreRefusedAndTheServiceSurvives) {
   EXPECT_EQ(refused.status, ScheduleStatus::kError);
   EXPECT_FALSE(refused.error.empty());
 
-  // The session and the dispatcher are both still alive: a well-formed
+  // The session and its lane are both still alive: a well-formed
   // request on the same connection is answered normally.
   send_multi(end, make_multi(79));
   const MultiScheduleResponse ok = read_multi(end);

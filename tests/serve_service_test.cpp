@@ -1,9 +1,12 @@
 // End-to-end tests for the SchedulerService over the framed transport:
 // solved responses match the direct solver bit-for-bit, payments match
-// the mechanism's assessment, deadlines expire queued work, a full
-// admission queue sheds explicitly, malformed traffic gets typed error
-// responses, stop() answers everything still queued, and a warm hit
-// answered in place never overtakes its connection's queued requests.
+// the mechanism's assessment, deadlines expire queued work without
+// blocking the rest, a full admission queue sheds explicitly and a
+// brown-out degrades, malformed traffic gets typed error responses,
+// stop() answers everything still queued, a warm hit answered in place
+// never overtakes its connection's queued requests, answers on one
+// connection keep their order, and a slow request holds up only its own
+// connection.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/dls_lbl.hpp"
 #include "dlt/linear.hpp"
+#include "exec/thread_pool.hpp"
 #include "net/networks.hpp"
 #include "serve/client.hpp"
 #include "serve/frame.hpp"
@@ -46,11 +50,38 @@ void send_request(PipeEnd& end, const ScheduleRequest& request) {
                                      encode_schedule_request(request)});
 }
 
-ScheduleResponse read_response(PipeEnd& end) {
-  const std::optional<Frame> frame = dls::serve::read_frame(end);
+/// Reads one response; a positive `timeout_s` bounds the wait (throwing
+/// TransportTimeout) so a failing test ends instead of hanging.
+ScheduleResponse read_response(PipeEnd& end, double timeout_s = 0.0) {
+  const std::optional<Frame> frame = dls::serve::read_frame(end, timeout_s);
   EXPECT_TRUE(frame.has_value()) << "connection closed without a response";
   EXPECT_EQ(frame->type, FrameType::kScheduleResponse);
   return dls::serve::decode_schedule_response(frame->payload);
+}
+
+/// A `chain`-processor request whose rates scale with `scale`, so
+/// distinct scales are distinct cache keys.
+ScheduleRequest make_request(std::uint64_t id, double scale,
+                             std::size_t chain = 4) {
+  ScheduleRequest request;
+  request.request_id = id;
+  for (std::size_t i = 0; i < chain; ++i) {
+    request.w.push_back(scale * (1.0 + 0.1 * static_cast<double>(i % 8)));
+  }
+  for (std::size_t j = 0; j + 1 < chain; ++j) {
+    request.z.push_back(0.1 + 0.01 * static_cast<double>(j % 8));
+  }
+  return request;
+}
+
+void expect_matches_direct_solve(const ScheduleResponse& response,
+                                 const ScheduleRequest& request) {
+  ASSERT_EQ(response.status, ScheduleStatus::kOk) << response.error;
+  const dls::net::LinearNetwork network(request.w, request.z);
+  dls::dlt::LinearSolution direct;
+  dls::dlt::solve_linear_boundary_into(network, direct, /*want_steps=*/false);
+  EXPECT_EQ(response.alpha, direct.alpha);  // bit-exact doubles
+  EXPECT_EQ(response.makespan, direct.makespan);
 }
 
 TEST(ServeServiceTest, OkResponseMatchesDirectSolverExactly) {
@@ -129,13 +160,12 @@ TEST(ServeServiceTest, PaymentsMatchComplianceAssessment) {
     EXPECT_EQ(service.stats().batched, 0u);
   }
 
-  // The batched path: same-length misses admitted while the dispatcher
-  // is held coalesce into one window and are assessed from their
-  // extracted lanes; the warm window then hits the cache.
+  // The queued path: same-length misses admitted while the lanes are
+  // held are assessed from their fresh solves once resumed; the warm
+  // block then hits the cache.
   {
     ServiceConfig config;
     config.start_paused = true;
-    config.max_batch = 16;
     config.queue_capacity = 64;
     SchedulerService service(config);
     PipeEnd end = service.connect();
@@ -165,7 +195,6 @@ TEST(ServeServiceTest, PaymentsMatchComplianceAssessment) {
         expect_payments_match(response, chain.w, chain.z);
       }
     }
-    EXPECT_EQ(service.stats().batched, chains.size());
     end.close();
   }
 }
@@ -231,6 +260,33 @@ TEST(ServeServiceTest, ServiceDefaultDeadlineApplies) {
   EXPECT_EQ(read_response(end).status, ScheduleStatus::kExpired);
 }
 
+TEST(ServeServiceTest, ExpiredRequestDoesNotBlockOthers) {
+  ServiceConfig config;
+  config.start_paused = true;
+  SchedulerService service(config);
+  PipeEnd end = service.connect();
+  std::vector<ScheduleRequest> requests;
+  requests.push_back(make_request(1, 1.0));
+  requests[0].options.deadline_us = 1000.0;  // expires while paused
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    requests.push_back(make_request(id, static_cast<double>(id)));
+  }
+  for (const ScheduleRequest& request : requests) send_request(end, request);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  service.resume();
+
+  const ScheduleResponse expired = read_response(end);
+  EXPECT_EQ(expired.request_id, 1u);
+  EXPECT_EQ(expired.status, ScheduleStatus::kExpired);
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    const ScheduleResponse response = read_response(end);
+    EXPECT_EQ(response.request_id, requests[i].request_id);
+    expect_matches_direct_solve(response, requests[i]);
+  }
+  EXPECT_EQ(service.stats().expired, 1u);
+  EXPECT_EQ(service.stats().ok, 3u);
+}
+
 TEST(ServeServiceTest, FullQueueShedsImmediately) {
   ServiceConfig config;
   config.start_paused = true;
@@ -246,7 +302,7 @@ TEST(ServeServiceTest, FullQueueShedsImmediately) {
   request.request_id = 2;
   send_request(end, request);  // over capacity: shed at admission
 
-  // The shed answer arrives while the dispatcher is still paused.
+  // The shed answer arrives while the lanes are still paused.
   const ScheduleResponse shed = read_response(end);
   EXPECT_EQ(shed.request_id, 2u);
   EXPECT_EQ(shed.status, ScheduleStatus::kShed);
@@ -256,6 +312,25 @@ TEST(ServeServiceTest, FullQueueShedsImmediately) {
   EXPECT_EQ(ok.request_id, 1u);
   EXPECT_EQ(ok.status, ScheduleStatus::kOk);
   EXPECT_EQ(service.stats().shed, 1u);
+}
+
+TEST(ServeServiceTest, BrownoutDegradesAMissAboveTheWatermark) {
+  ServiceConfig config;
+  config.start_paused = true;
+  config.brownout_watermark = 1;
+  SchedulerService service(config);
+  PipeEnd end = service.connect();
+  send_request(end, make_request(1, 1.0));
+  // The queue now holds one request, the watermark: the second (cache
+  // miss) request is answered kDegraded on the reader thread.
+  send_request(end, make_request(2, 2.0));
+  const ScheduleResponse degraded = read_response(end);
+  EXPECT_EQ(degraded.request_id, 2u);
+  EXPECT_EQ(degraded.status, ScheduleStatus::kDegraded);
+  EXPECT_GT(degraded.retry_after_us, 0.0);
+  service.resume();
+  EXPECT_EQ(read_response(end).status, ScheduleStatus::kOk);
+  EXPECT_EQ(service.stats().degraded, 1u);
 }
 
 TEST(ServeServiceTest, ClientRetriesThroughShed) {
@@ -347,7 +422,7 @@ TEST(ServeServiceTest, ConnectAfterStopThrows) {
 }
 
 /// Requests the reader has decided on: queued, answered or refused. A
-/// paused dispatcher decides nothing, so each new request moves this by
+/// paused service decides nothing, so each new request moves this by
 /// at least one once its reader is done with it.
 std::uint64_t decided(const dls::serve::ServiceStats& stats) {
   return stats.admitted + stats.ok + stats.shed + stats.degraded +
@@ -414,8 +489,76 @@ TEST(ServeServiceTest, PipelinedAnswersKeepWriteOrder) {
   }
 }
 
-TEST(ServeServiceTest, WarmHitWithDeadlineWaitsForTheDispatcher) {
-  // A deadline is admission-relative and owned by the dispatcher, so a
+TEST(ServeServiceTest, SlowRequestAnsweredBeforeTheFastMissBehindIt) {
+  // One connection pipelines a slow request (4096 processors, payments)
+  // and then a fast miss: the answers leave in the order it wrote them.
+  SchedulerService service(ServiceConfig{});
+  PipeEnd end = service.connect();
+  ScheduleRequest slow = make_request(1, 1.0, 4096);
+  slow.options.want_payments = true;
+  const ScheduleRequest fast = make_request(2, 2.0);
+  send_request(end, slow);
+  send_request(end, fast);
+  const ScheduleResponse first = read_response(end, 60.0);
+  EXPECT_EQ(first.request_id, 1u);
+  EXPECT_EQ(first.status, ScheduleStatus::kOk) << first.error;
+  const ScheduleResponse second = read_response(end, 60.0);
+  EXPECT_EQ(second.request_id, 2u);
+  expect_matches_direct_solve(second, fast);
+  end.close();
+}
+
+TEST(ServeServiceTest, SlowRequestHoldsUpOnlyItsOwnConnection) {
+  // Posted lane tasks run only on pool workers: two lanes at once need
+  // two of them.
+  if (dls::exec::ThreadPool::global().worker_count() < 3) {
+    GTEST_SKIP() << "needs at least two pool worker threads";
+  }
+  using Clock = std::chrono::steady_clock;
+  ServiceConfig config;
+  config.start_paused = true;
+  SchedulerService service(config);
+  PipeEnd slow_end = service.connect();
+  PipeEnd fast_end = service.connect();
+  ScheduleRequest slow = make_request(1, 1.0, std::size_t{1} << 16);
+  slow.options.want_payments = true;
+  const ScheduleRequest fast = make_request(2, 1.0);
+  // The slow request is admitted first, so a service that answers in
+  // admission order writes it before the fast one.
+  const auto admit = [&](PipeEnd& end, const ScheduleRequest& request,
+                         std::uint64_t want) {
+    send_request(end, request);
+    const auto give_up = Clock::now() + std::chrono::seconds(30);
+    while (service.stats().admitted < want && Clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.stats().admitted, want);
+  };
+  admit(slow_end, slow, 1);
+  admit(fast_end, fast, 2);
+  service.resume();
+
+  expect_matches_direct_solve(read_response(fast_end, 30.0), fast);
+  // A 1 ms read on the slow connection must still find nothing.
+  std::optional<Frame> early;
+  bool in_flight = false;
+  try {
+    early = dls::serve::read_frame(slow_end, 0.001);
+  } catch (const dls::serve::TransportTimeout&) {
+    in_flight = true;
+  }
+  EXPECT_TRUE(in_flight) << "the slow answer arrived with the fast one";
+  const ScheduleResponse answer =
+      in_flight ? read_response(slow_end, 60.0)
+                : dls::serve::decode_schedule_response(early.value().payload);
+  EXPECT_EQ(answer.request_id, 1u);
+  EXPECT_EQ(answer.status, ScheduleStatus::kOk) << answer.error;
+  slow_end.close();
+  fast_end.close();
+}
+
+TEST(ServeServiceTest, WarmHitWithDeadlineWaitsForItsLane) {
+  // A deadline is admission-relative and owned by the lane task, so a
   // warm hit carrying one (its own or the service default) is queued,
   // not answered in place, and expires like any other request.
   for (const bool own_deadline : {true, false}) {
