@@ -375,7 +375,7 @@ BENCHMARK(bm_utility_sweep_speedup)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Pool dispatch latency: the fixed cost of fanning a trivial job out to
-// the persistent work-stealing pool and waiting for completion. Compare
+// the persistent pool and waiting for completion. Compare
 // with bm_spawn_join_dispatch, the spawn-per-call pattern the pool
 // replaced in the old analysis-layer sweep driver.
 void bm_pool_dispatch(benchmark::State& state) {

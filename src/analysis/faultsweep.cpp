@@ -13,7 +13,7 @@ namespace dls::analysis {
 namespace {
 
 /// Raw measurements of one chaos trial, written into an index-owned slot
-/// so the trial grid can run on the work-stealing pool.
+/// so the trial grid can run on the shared pool.
 struct TrialOutcome {
   std::size_t crashes = 0;
   double makespan_ratio = 1.0;

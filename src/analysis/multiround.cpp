@@ -72,7 +72,7 @@ MultiRoundSolution solve_multiround_star(const net::StarNetwork& network,
   double best_root = 0.0;
   double best_theta = 1.0;
   if (network.root_computes()) {
-    // Coarse (root share x θ) grid evaluated on the work-stealing pool —
+    // Coarse (root share x θ) grid evaluated on the shared pool —
     // every cell is an independent event-driven simulation — followed by
     // a golden-section polish of each coordinate inside the bracketing
     // grid cells. Replaces the serial nested golden search (1600+

@@ -31,7 +31,7 @@ std::size_t ThreadPool::default_threads() {
 ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -80,36 +80,16 @@ void ThreadPool::parallel_for_chunks(
     return;
   }
 
-  std::size_t grain = options.grain;
-  if (grain == 0) grain = std::max<std::size_t>(1, count / (parallelism * 4));
-  const std::size_t chunk_count = (count + grain - 1) / grain;
-
-  DLS_SPAN_ARGS("exec.dispatch",
-                "{\"count\":" + std::to_string(count) +
-                    ",\"chunks\":" + std::to_string(chunk_count) + "}");
+  DLS_SPAN_ARGS("exec.dispatch", "{\"count\":" + std::to_string(count) + "}");
   DLS_COUNT("exec.dispatches");
-  DLS_COUNT("exec.chunks", chunk_count);
-  DLS_OBSERVE("exec.queue_depth", static_cast<double>(chunk_count),
-              {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0});
 
   const std::scoped_lock submit(submit_mutex_);
   auto job = std::make_shared<Job>();
   job->body = &body;
-  job->deques.resize(workers_.size() + 1);
-  job->deque_mutexes.reserve(workers_.size() + 1);
-  for (std::size_t i = 0; i <= workers_.size(); ++i) {
-    job->deque_mutexes.push_back(std::make_unique<std::mutex>());
-  }
-  job->chunks_remaining = chunk_count;
+  job->count = count;
+  job->grain = options.grain;
+  job->divisor = 4 * parallelism;
   job->slots = parallelism - 1;  // pool workers; the caller always joins
-
-  // Deal chunks round-robin across the participating deques so every
-  // worker starts with a contiguous, cache-friendly share.
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(count, begin + grain);
-    job->deques[c % parallelism].push_back(Chunk{begin, end});
-  }
 
   {
     const std::scoped_lock lock(pool_mutex_);
@@ -118,16 +98,22 @@ void ThreadPool::parallel_for_chunks(
   }
   wake_cv_.notify_all();
 
-  run_chunks(*job, 0);
+  run_chunks(*job);
 
   {
+    // The caller's claims ran dry, so the cursor is past the end: close
+    // the job to late workers and wait for the ones still running.
     std::unique_lock lock(job->state_mutex);
-    job->done_cv.wait(lock, [&] { return job->chunks_remaining == 0; });
+    job->closed = true;
+    job->done_cv.wait(lock, [&] { return job->active == 0; });
   }
   {
     const std::scoped_lock lock(pool_mutex_);
     if (current_job_ == job) current_job_.reset();
   }
+  DLS_COUNT("exec.chunks", job->chunks);
+  DLS_OBSERVE("exec.queue_depth", static_cast<double>(job->chunks),
+              {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0});
   // Taken out of the job, so the exception dies on this thread even when
   // a worker drops the last reference to the job.
   if (std::exception_ptr error = std::exchange(job->error, nullptr)) {
@@ -162,7 +148,7 @@ void ThreadPool::post(std::function<void()> task) {
   wake_cv_.notify_one();
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_epoch = 0;
   std::unique_lock lock(pool_mutex_);
   for (;;) {
@@ -187,21 +173,24 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     bool participate = false;
     {
       const std::scoped_lock state(job->state_mutex);
-      if (job->slots > 0 && job->chunks_remaining > 0) {
+      if (job->slots > 0 && !job->closed) {
         --job->slots;
+        ++job->active;
         participate = true;
       }
     }
-    if (participate) run_chunks(*job, worker_index + 1);
+    if (participate) run_chunks(*job);
 
     lock.lock();
   }
 }
 
-void ThreadPool::run_chunks(Job& job, std::size_t self) {
+void ThreadPool::run_chunks(Job& job) {
   t_inside_pool_body = true;
+  std::size_t claimed = 0;
   Chunk chunk;
-  while (pop_or_steal(job, self, chunk)) {
+  while (claim(job, chunk)) {
+    ++claimed;
     bool run = true;
     {
       // A chunk below the lowest begin that threw still runs, so that
@@ -209,54 +198,40 @@ void ThreadPool::run_chunks(Job& job, std::size_t self) {
       const std::scoped_lock state(job.state_mutex);
       run = !job.cancelled || chunk.begin < job.error_begin;
     }
-    if (run) {
-      // Scoped so the event is recorded before the chunks_remaining
-      // decrement below — the caller's post-join drain then observes it
-      // via the same state_mutex release.
-      DLS_SPAN_DETAIL("exec.chunk");
-      try {
-        (*job.body)(chunk.begin, chunk.end);
-      } catch (...) {
-        const std::scoped_lock state(job.state_mutex);
-        job.cancelled = true;
-        if (!job.error || chunk.begin < job.error_begin) {
-          job.error = std::current_exception();
-          job.error_begin = chunk.begin;
-        }
-      }
-    }
-    {
+    if (!run) continue;
+    // Scoped so the event is recorded before this participant leaves
+    // the job below: the caller's post-join drain then observes it via
+    // the same state_mutex release.
+    DLS_SPAN_DETAIL("exec.chunk");
+    try {
+      (*job.body)(chunk.begin, chunk.end);
+    } catch (...) {
       const std::scoped_lock state(job.state_mutex);
-      if (--job.chunks_remaining == 0) job.done_cv.notify_all();
+      job.cancelled = true;
+      if (!job.error || chunk.begin < job.error_begin) {
+        job.error = std::current_exception();
+        job.error_begin = chunk.begin;
+      }
     }
   }
   t_inside_pool_body = false;
+  const std::scoped_lock state(job.state_mutex);
+  job.chunks += claimed;
+  if (--job.active == 0) job.done_cv.notify_all();
 }
 
 DLS_HOT_NOALLOC
-bool ThreadPool::pop_or_steal(Job& job, std::size_t self, Chunk& out) {
-  {  // Own deque, LIFO: the most recently dealt range is cache-warmest.
-    const std::scoped_lock lock(*job.deque_mutexes[self]);
-    if (!job.deques[self].empty()) {
-      out = job.deques[self].back();
-      job.deques[self].pop_back();
-      return true;
-    }
-  }
-  // Steal FIFO from the first victim with work, scanning from the next
-  // deque over so thieves spread instead of mobbing deque 0.
-  const std::size_t n = job.deques.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    const std::size_t victim = (self + k) % n;
-    const std::scoped_lock lock(*job.deque_mutexes[victim]);
-    if (!job.deques[victim].empty()) {
-      out = job.deques[victim].front();
-      job.deques[victim].pop_front();
-      DLS_COUNT("exec.steals");
-      return true;
-    }
-  }
-  return false;
+bool ThreadPool::claim(Job& job, Chunk& out) {
+  std::size_t begin = job.cursor.load();
+  std::size_t size = 0;
+  do {
+    if (begin >= job.count) return false;
+    const std::size_t remaining = job.count - begin;
+    size = job.grain != 0 ? std::min(job.grain, remaining)
+                          : std::max<std::size_t>(1, remaining / job.divisor);
+  } while (!job.cursor.compare_exchange_weak(begin, begin + size));
+  out = Chunk{begin, begin + size};
+  return true;
 }
 
 }  // namespace dls::exec

@@ -1,19 +1,19 @@
-// Persistent work-stealing execution engine for the sweep harness.
+// Persistent execution engine for the sweep harness.
 //
 // The certification sweeps (THM5.1/5.3 grids, fault sweeps, Monte-Carlo
 // baselines) are embarrassingly parallel but latency-sensitive: the old
 // analysis-layer sweep driver spawned and joined fresh std::threads on
 // every call, so a bench that issues thousands of small sweeps paid thread
 // creation each time. This pool spawns its workers once, parks them on a
-// condition variable, and dispatches chunked index ranges through
-// per-worker deques with work stealing:
-//   * each job is split into chunks of `grain` indices (auto-sized to a
-//     few chunks per worker when 0) that are dealt round-robin onto the
-//     deques;
-//   * a worker pops its own deque LIFO (cache-warm) and steals FIFO from
-//     victims when empty, so load imbalance self-corrects;
-//   * the submitting thread participates as worker 0, so a dispatch
-//     never blocks on a sleeping pool;
+// condition variable, and hands out index ranges by guided
+// self-scheduling from one atomic cursor:
+//   * each participant claims the next [begin, begin + size) with a CAS,
+//     so chunks are claimed in ascending order; `size` is the grain when
+//     one is set, else max(1, remaining / (4 x participants)), so chunks
+//     shrink as the range drains and every participant finishes at about
+//     the same instant even when later indices cost more;
+//   * the submitting thread participates, so a dispatch never blocks on
+//     a sleeping pool;
 //   * results must be index-owned (body(i) writes only slot i), which
 //     makes every sweep bit-identical at any worker count;
 //   * an exception cancels every chunk above the lowest begin that threw
@@ -23,6 +23,7 @@
 // post() hands the workers one-off tasks besides the chunked jobs.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +39,9 @@ namespace dls::exec {
 
 /// Tuning knobs for ThreadPool::parallel_for.
 struct ForOptions {
-  /// Indices per chunk; 0 picks ~4 chunks per participating worker.
+  /// Indices per chunk. 0 sizes each claim from what is left:
+  /// max(1, remaining / (4 x participants)), so chunks shrink toward the
+  /// end of the range.
   std::size_t grain = 0;
   /// Cap on participating workers including the caller (0 = all; 1 runs
   /// the body inline on the caller). Results are identical either way.
@@ -100,14 +103,17 @@ class ThreadPool {
   /// caller returned.
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    /// deques[0] belongs to the caller; deques[k] to pool worker k-1.
-    std::vector<std::deque<Chunk>> deques;
-    std::vector<std::unique_ptr<std::mutex>> deque_mutexes;
+    std::size_t count = 0;
+    std::size_t grain = 0;    ///< fixed claim size; 0 for guided claims
+    std::size_t divisor = 1;  ///< 4 x participants, for guided claims
+    std::atomic<std::size_t> cursor{0};  ///< lowest unclaimed index
     std::mutex state_mutex;
     std::condition_variable done_cv;
-    std::size_t chunks_remaining = 0;
     /// Pool-worker participation slots (the caller is always in).
     std::size_t slots = 0;
+    std::size_t active = 1;  ///< participants not yet left (caller first)
+    bool closed = false;     ///< no participant may join any more
+    std::size_t chunks = 0;  ///< claims of the participants that left
     bool cancelled = false;
     /// Lowest chunk begin among recorded exceptions, for deterministic
     /// rethrow when several bodies throw.
@@ -117,11 +123,12 @@ class ThreadPool {
 
   /// hardware_concurrency - 1 (0 on a single-CPU host).
   static std::size_t default_threads();
-  void worker_loop(std::size_t worker_index);
-  /// Drains the job's deques from `self` (own deque first, then steals);
-  /// returns when no chunk is left anywhere.
-  static void run_chunks(Job& job, std::size_t self);
-  static bool pop_or_steal(Job& job, std::size_t self, Chunk& out);
+  void worker_loop();
+  /// Claims and runs chunks until the cursor passes the end, then leaves
+  /// the job: adds its claims to `chunks` and wakes the caller if it was
+  /// the last participant out.
+  static void run_chunks(Job& job);
+  static bool claim(Job& job, Chunk& out);
 
   std::vector<std::thread> workers_;
 

@@ -2,9 +2,9 @@
 //
 // Instruments cache the handle once and update lock-free:
 //
-//   static obs::Counter& steals =
-//       obs::MetricsRegistry::global().counter("exec.steals");
-//   steals.add();
+//   static obs::Counter& chunks =
+//       obs::MetricsRegistry::global().counter("exec.chunks");
+//   chunks.add();
 //
 // Updates are relaxed atomics gated on obs::active(), so a disabled
 // process pays one load per site. snapshot() captures every metric into
@@ -13,7 +13,7 @@
 //
 // Naming scheme (see docs/OBSERVABILITY.md): dotted lowercase paths,
 // `<layer>.<what>` — e.g. solver.solves, mechanism.bonus_paid,
-// exec.steals, protocol.msgs_by_type.bid, recovery.resolves.
+// exec.chunks, protocol.msgs_by_type.bid, recovery.resolves.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Stress tests for exec::ThreadPool aimed at the ThreadSanitizer CI
-// job: nested dispatch, work stealing under deliberately skewed load,
-// concurrent submitters on the shared global pool, exception delivery
-// under contention, and concurrent CounterfactualSolver/Mechanism
+// job: nested dispatch, claims from one cursor under deliberately skewed
+// load, concurrent submitters on the shared global pool, exception
+// delivery under contention, and concurrent CounterfactualSolver/Mechanism
 // queries. Every assertion doubles as a determinism check — results
 // must be bit-identical to a serial reference at any worker count.
 #include <atomic>
@@ -27,7 +27,7 @@ namespace {
 
 double churn(std::size_t i) {
   // A few hundred flops of index-dependent work so chunks finish at
-  // staggered times and stealing actually happens.
+  // staggered times and participants race for the cursor.
   double x = static_cast<double>(i % 97) + 1.0;
   for (int k = 0; k < 100 + static_cast<int>(i % 7) * 50; ++k) {
     x = x * 1.0000001 + 0.5 / x;
@@ -57,7 +57,7 @@ TEST(ExecPoolStress, NestedParallelForUnderContention) {
   }
 }
 
-TEST(ExecPoolStress, SkewedLoadStealsAndCoversEveryIndex) {
+TEST(ExecPoolStress, SkewedLoadCoversEveryIndex) {
   exec::ThreadPool pool(7);
   const std::size_t count = 20000;
   for (const std::size_t grain : {std::size_t{1}, std::size_t{16}}) {
@@ -69,7 +69,7 @@ TEST(ExecPoolStress, SkewedLoadStealsAndCoversEveryIndex) {
         count,
         [&](std::size_t i) {
           // The first few indices are ~100x heavier than the rest, so
-          // the dealing order guarantees imbalance and forces steals.
+          // whoever claims them lags while the others drain the cursor.
           double sink = 0.0;
           const int reps = i < 8 ? 100 : 1;
           for (int r = 0; r < reps; ++r) sink += churn(i);

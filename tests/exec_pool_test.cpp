@@ -1,14 +1,19 @@
-// Tests for the persistent work-stealing pool (exec/thread_pool.hpp):
-// coverage, determinism at any worker count, grain control, exception
-// propagation with cancellation, nesting, and posted tasks.
+// Tests for the persistent pool (exec/thread_pool.hpp): coverage, the
+// guided claim schedule, determinism at any worker count, grain control,
+// the worker cap, exception propagation with cancellation, nesting, and
+// posted tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <latch>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -22,6 +27,37 @@ namespace {
 
 using dls::exec::ForOptions;
 using dls::exec::ThreadPool;
+
+using Chunks = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Every [begin, end) one parallel_for_chunks call ran, sorted by begin.
+Chunks record_chunks(ThreadPool& pool, std::size_t count,
+                     ForOptions options) {
+  std::mutex mutex;
+  Chunks chunks;
+  pool.parallel_for_chunks(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        const std::scoped_lock lock(mutex);
+        chunks.emplace_back(begin, end);
+      },
+      options);
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+/// Asserts that `chunks` tile [0, count) and that the chunk at `begin`
+/// holds size_at(count - begin) indices.
+template <typename SizeAt>
+void expect_tiling(const Chunks& chunks, std::size_t count, SizeAt size_at) {
+  std::size_t next = 0;
+  for (const auto& [begin, end] : chunks) {
+    ASSERT_EQ(begin, next) << "gap or overlap";
+    EXPECT_EQ(end - begin, size_at(count - begin)) << "chunk at " << begin;
+    next = end;
+  }
+  EXPECT_EQ(next, count);
+}
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -42,6 +78,49 @@ TEST(ThreadPool, ChunkApiCoversEveryIndexOnceUnderTinyGrain) {
       },
       ForOptions{.grain = 3});
   for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+// Guided self-scheduling: with no grain each claim takes
+// max(1, remaining / (4 x participants)) indices, so chunks shrink as the
+// range drains and a participant that drew costly indices is not left
+// alone with a large chunk at the end. A claim's size depends only on
+// where it begins, so the schedule is the same whatever the timing.
+TEST(ThreadPool, GuidedChunksTileTheRangeAndShrink) {
+  ThreadPool pool(3);                   // 4 participants: remaining / 16
+  constexpr std::size_t kCount = 6108;  // the sweep's curves per pass
+  const Chunks chunks = record_chunks(pool, kCount, {});
+  expect_tiling(chunks, kCount, [](std::size_t remaining) {
+    return std::min(remaining, std::max<std::size_t>(1, remaining / 16));
+  });
+  EXPECT_EQ(chunks.size(), 117u);
+}
+
+TEST(ThreadPool, ExplicitGrainClaimsThatManyIndices) {
+  ThreadPool pool(3);
+  constexpr std::size_t kCount = 1'237;
+  constexpr std::size_t kGrain = 10;
+  const Chunks chunks = record_chunks(pool, kCount, {.grain = kGrain});
+  expect_tiling(chunks, kCount, [&](std::size_t remaining) {
+    return std::min(remaining, kGrain);
+  });
+  EXPECT_EQ(chunks.size(), 124u);
+}
+
+TEST(ThreadPool, MaxWorkersBoundsParticipants) {
+  ThreadPool pool(7);
+  for (int round = 0; round < 10; ++round) {
+    std::mutex mutex;
+    std::set<std::thread::id> ran_on;
+    pool.parallel_for(
+        64,
+        [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          const std::scoped_lock lock(mutex);
+          ran_on.insert(std::this_thread::get_id());
+        },
+        ForOptions{.grain = 1, .max_workers = 2});
+    EXPECT_LE(ran_on.size(), 2u) << "round " << round;
+  }
 }
 
 // The core contract of the sweep engine: because every index writes only
@@ -148,9 +227,9 @@ TEST(ThreadPool, LowestIndexExceptionWinsWhenEveryBodyThrows) {
 }
 
 TEST(ThreadPool, LowestIndexExceptionWinsAtGrainOne) {
-  // 64 one-index chunks: each owner pops its highest chunk first, so a
-  // high chunk throws before chunk 0 has started. Chunk 0 must still run
-  // and its exception must win.
+  // 64 one-index chunks over five participants: a higher chunk can throw
+  // before the participant that claimed chunk 0 has run it. Chunk 0 must
+  // still run and its exception must win.
   ThreadPool pool(4);
   try {
     pool.parallel_for_chunks(

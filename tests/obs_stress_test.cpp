@@ -130,7 +130,7 @@ TEST_F(ObsStressTest, ConcurrentDrainsNeverDuplicateEvents) {
   EXPECT_GE(total, kTasks);
 }
 
-TEST_F(ObsStressTest, PoolInstrumentationCountsChunksAndSteals) {
+TEST_F(ObsStressTest, PoolInstrumentationCountsChunks) {
   constexpr std::size_t kTasks = 4096;
   std::atomic<std::uint64_t> sink{0};
   ThreadPool pool(4);

@@ -3,7 +3,7 @@
 // while the admission queue sheds, deadlines expire and the cache
 // churns. Every request must get exactly one well-typed response and
 // solved answers must stay bit-identical per topology. DLS_SERVE_SOAK
-// multiplies the request volume for the CI soak job.
+// scales the request volume up for the CI soak job.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,11 +27,14 @@ using dls::serve::SchedulerClient;
 using dls::serve::SchedulerService;
 using dls::serve::ServiceConfig;
 
-int soak_multiplier() {
+/// Requests per client: `plain` when DLS_SERVE_SOAK is unset, else
+/// `per_level` times its value. Each case sizes `per_level` so that the
+/// serve-soak job (DLS_SERVE_SOAK=10, TSan) keeps it under load for
+/// several seconds, while a plain run stays well under one.
+int soak_volume(int plain, int per_level) {
   const char* raw = std::getenv("DLS_SERVE_SOAK");
-  if (raw == nullptr) return 1;
-  const int parsed = std::atoi(raw);
-  return parsed >= 1 ? parsed : 1;
+  const int level = raw == nullptr ? 0 : std::atoi(raw);
+  return level >= 1 ? per_level * level : plain;
 }
 
 struct Topology {
@@ -54,7 +57,7 @@ std::vector<Topology> random_topologies(std::size_t count,
 }
 
 TEST(ServeStressTest, ConcurrentClientsConvergeBitIdentically) {
-  const int requests_per_client = 20 * soak_multiplier();
+  const int requests_per_client = soak_volume(20, 800);
   constexpr std::size_t kClients = 8;
   const std::vector<Topology> topos = random_topologies(5, 20260806);
 
@@ -120,7 +123,7 @@ TEST(ServeStressTest, ConcurrentClientsConvergeBitIdentically) {
 }
 
 TEST(ServeStressTest, MixedDeadlinesNeverWedgeTheService) {
-  const int requests_per_client = 15 * soak_multiplier();
+  const int requests_per_client = soak_volume(15, 1600);
   constexpr std::size_t kClients = 6;
   const std::vector<Topology> topos = random_topologies(4, 7);
 
