@@ -20,6 +20,12 @@ Clock::duration seconds_of(double s) {
       std::chrono::duration<double>(s));
 }
 
+/// Seconds left to `deadline`, never 0 (a 0 read timeout waits forever).
+double timeout_until(Clock::time_point deadline) {
+  return std::max(
+      std::chrono::duration<double>(deadline - Clock::now()).count(), 1e-6);
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config)
@@ -194,86 +200,108 @@ void ShardRouter::handle_request(Session& session,
     }
   }
   auto& backends = static_cast<BackendLinks&>(*session.state);
-  std::vector<ForwardResult> results;
-  results.reserve(owners.size());
-  for (const std::size_t shard : owners) {
-    results.push_back(forward(backends, shard, payload));
-  }
-  const ScheduleResponse merged = merge(request, results);
+  const ScheduleResponse merged =
+      merge(request, forward(backends, owners, payload));
   bump(merged.status == ScheduleStatus::kOk ? tallies_.answered_ok
                                             : tallies_.refused);
   session.send(merged);
 }
 
-ShardRouter::ForwardResult ShardRouter::forward(
-    BackendLinks& backends, std::size_t shard,
+std::vector<ShardRouter::ForwardResult> ShardRouter::forward(
+    BackendLinks& backends, const std::vector<std::size_t>& owners,
     std::span<const std::uint8_t> payload) {
-  ForwardResult result;
-  Transport* link = backends.links[shard].get();
-  if (link == nullptr || !link->valid()) {
-    // Dial outside the links lock (a dial enters the shard's own
-    // session core) and install only while the links are open, so
-    // stop() never misses a link or waits out a fresh one's timeout.
-    {
-      std::lock_guard<std::mutex> lock(backends.links_mutex);
-      if (backends.closed) return result;
-    }
-    std::unique_ptr<Transport> fresh;
-    try {
-      fresh = config_.connect(shard);
-    } catch (const dls::Error&) {
-      fresh = nullptr;
-    }
-    if (fresh == nullptr) {
-      note_forward_failure(shard);
-      return result;
-    }
-    std::lock_guard<std::mutex> lock(backends.links_mutex);
-    if (backends.closed) {
-      fresh->close();
-      return result;
-    }
-    backends.links[shard] = std::move(fresh);
-    link = backends.links[shard].get();
-  }
-  // The client's encoding goes on unchanged apart from the id: this
+  std::vector<ForwardResult> results(owners.size());
+  // Each owner's request id once written (ids start at 1: 0 = unsent).
+  std::vector<std::uint64_t> sent(owners.size(), 0);
+  // The client's encoding goes on unchanged apart from the id: each
   // link numbers its own requests so stale replies can be told apart.
-  const std::uint64_t forward_id = backends.next_id[shard]++;
   Frame frame;
   frame.type = FrameType::kScheduleRequest;
   frame.payload.assign(payload.begin(), payload.end());
-  patch_schedule_request_id(frame.payload, forward_id);
-  bump(tallies_.forwarded);
-  DLS_COUNT("serve.shard.forwarded");
-  try {
-    write_frame(*link, frame);
-    // Bounded skip of stale responses (a chaos-duplicated frame from an
-    // earlier round trip on this link).
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      std::optional<Frame> reply = read_frame(*link, config_.forward_timeout_s);
-      if (!reply) break;  // shard hung up
-      if (reply->type != FrameType::kScheduleResponse) continue;
-      ScheduleResponse response = decode_schedule_response(reply->payload);
-      if (response.request_id != forward_id) continue;  // stale
-      result.delivered = true;
-      result.response = std::move(response);
-      result.normalized = std::move(reply->payload);
-      normalize_schedule_response(result.normalized);
-      note_forward_success(shard);
-      return result;
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    const std::size_t shard = owners[i];
+    if (Transport* const link = link_to(backends, shard)) {
+      const std::uint64_t forward_id = backends.next_id[shard]++;
+      patch_schedule_request_id(frame.payload, forward_id);
+      bump(tallies_.forwarded);
+      DLS_COUNT("serve.shard.forwarded");
+      try {
+        write_frame(*link, frame);
+        sent[i] = forward_id;
+        continue;
+      } catch (const TransportError&) {
+      }
     }
-  } catch (const TransportError&) {
-  } catch (const codec::DecodeError&) {
+    drop_link(backends, shard);
   }
-  // Wire trouble: drop the link so the next request redials, and count
-  // the failure against the shard's heartbeat retry budget.
+  // The owners now solve at once; their replies share one deadline.
+  const double timeout_s = config_.forward_timeout_s;
+  const Clock::time_point deadline = Clock::now() + seconds_of(timeout_s);
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (sent[i] == 0) continue;
+    const std::size_t shard = owners[i];
+    ForwardResult& result = results[i];
+    try {
+      // Bounded skip of stale responses (a chaos-duplicated frame from an
+      // earlier round trip on this link).
+      for (int attempt = 0; attempt < 4 && !result.delivered; ++attempt) {
+        std::optional<Frame> reply = read_frame(
+            *backends.links[shard],
+            timeout_s > 0.0 ? timeout_until(deadline) : 0.0);
+        if (!reply) break;  // shard hung up
+        if (reply->type != FrameType::kScheduleResponse) continue;
+        ScheduleResponse response = decode_schedule_response(reply->payload);
+        if (response.request_id != sent[i]) continue;  // stale
+        result.response = std::move(response);
+        result.normalized = std::move(reply->payload);
+        normalize_schedule_response(result.normalized);
+        result.delivered = true;
+      }
+    } catch (const TransportError&) {
+    } catch (const codec::DecodeError&) {
+    }
+    if (result.delivered) {
+      note_forward_success(shard);
+    } else {
+      drop_link(backends, shard);
+    }
+  }
+  return results;
+}
+
+Transport* ShardRouter::link_to(BackendLinks& backends, std::size_t shard) {
+  Transport* const link = backends.links[shard].get();
+  if (link != nullptr && link->valid()) return link;
+  // Dial outside the links lock (a dial enters the shard's own session
+  // core) and install only while the links are open, so stop() never
+  // misses a link or waits out a fresh one's timeout.
   {
     std::lock_guard<std::mutex> lock(backends.links_mutex);
-    backends.links[shard]->close();
+    if (backends.closed) return nullptr;
+  }
+  std::unique_ptr<Transport> fresh;
+  try {
+    fresh = config_.connect(shard);
+  } catch (const dls::Error&) {
+  }
+  if (fresh == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(backends.links_mutex);
+  if (backends.closed) {
+    fresh->close();
+    return nullptr;
+  }
+  backends.links[shard] = std::move(fresh);
+  return backends.links[shard].get();
+}
+
+void ShardRouter::drop_link(BackendLinks& backends, std::size_t shard) {
+  {
+    std::lock_guard<std::mutex> lock(backends.links_mutex);
+    if (backends.closed) return;  // stop() cut the forward short
+    if (backends.links[shard]) backends.links[shard]->close();
     backends.links[shard].reset();
   }
   note_forward_failure(shard);
-  return result;
 }
 
 ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,

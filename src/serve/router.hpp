@@ -16,8 +16,8 @@
 //    the primary owner's colocated service (RouterConfig::local) answers
 //    a payment-free cache hit by its in-place rule, no wire. The router
 //    keeps no response cache of its own: every request takes the ring.
-//  * Replication: the request goes to every owner; kOk answers are
-//    normalised (id and cache-hit flag zeroed) and byte-compared.
+//  * Replication: every owner is written before any reply is read; kOk
+//    answers are normalised (id and cache-hit flag zeroed), byte-compared.
 //    Divergence is a typed incident — the client gets a kError
 //    refusal, never a divergent answer. With no kOk, the most
 //    actionable refusal wins: kDegraded with the largest retry-after,
@@ -74,7 +74,8 @@ struct RouterConfig {
   /// Run the dead-shard revival monitor thread. Off, revival only
   /// happens when a test flips the map by hand.
   bool probe_dead_shards = true;
-  /// Per-forward response deadline (seconds); <= 0 waits forever.
+  /// Reply deadline per routed request (seconds), shared by all of its
+  /// owners' replies and counted from the last write; <= 0 waits forever.
   double forward_timeout_s = 5.0;
   /// Retry-after hint (µs) on router-originated kDegraded refusals
   /// (no alive owner / every forward failed).
@@ -171,13 +172,21 @@ class ShardRouter {
   /// forwards `payload`, the client's encoding, to every owner.
   void handle_request(Session& session, const ScheduleRequest& request,
                       std::span<const std::uint8_t> payload);
-  /// Sends the encoded request `payload` to `shard` on the session's
-  /// backend link, under the link's next request id, and blocks for the
-  /// reply. A wire/decode failure drops the link (next request
-  /// reconnects) and counts against the shard's retry budget. Once the
-  /// links are closed nothing is dialled: the result is undelivered.
-  ForwardResult forward(BackendLinks& backends, std::size_t shard,
-                        std::span<const std::uint8_t> payload);
+  /// Sends the encoded request `payload` to every owner, each under its
+  /// link's next request id, then reads the replies under one
+  /// forward_timeout_s deadline; one result per owner, in order. A dial,
+  /// wire or decode failure drops that owner's link (drop_link). Once
+  /// the links are closed nothing is dialled: the results are undelivered.
+  std::vector<ForwardResult> forward(BackendLinks& backends,
+                                     const std::vector<std::size_t>& owners,
+                                     std::span<const std::uint8_t> payload);
+  /// The session's open link to `shard`, dialled if need be; null when
+  /// the dial fails or the links are closed.
+  Transport* link_to(BackendLinks& backends, std::size_t shard);
+  /// Closes and forgets the link to `shard` (the next request redials)
+  /// and counts a failure against the shard's retry budget, unless
+  /// stop() has closed the links.
+  void drop_link(BackendLinks& backends, std::size_t shard);
   /// The colocated inline path runs only without replication (R=1
   /// has nothing to cross-check) and with in-process shards.
   bool inline_enabled() const noexcept {

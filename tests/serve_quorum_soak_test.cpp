@@ -14,7 +14,8 @@
 //
 // 8 seeds; DLS_SERVE_SOAK multiplies the request volume; the CI
 // serve-federation job runs this under ASan/UBSan with
-// DLS_CHAOS_TRACE_OUT streaming a Chrome trace of the run.
+// DLS_CHAOS_TRACE_OUT streaming a Chrome trace of the run, and the
+// serve-soak job runs it under TSan at DLS_SERVE_SOAK=10.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -1,14 +1,16 @@
 // ShardMap + ShardRouter unit coverage: consistent-hash stability (a
 // death moves only the dead shard's arc), replication owner walks,
 // routed solves with warm inline hits, repeats that still take the
-// ring, quorum divergence surfacing as a typed incident, backpressure
-// merging, and heartbeat-budget death detection with monitor-probe
-// revival.
+// ring, replicas that solve at the same time under one reply deadline,
+// quorum divergence surfacing as a typed incident, backpressure
+// merging, heartbeat-budget death detection with monitor-probe
+// revival, and a stop() that neither dials nor blames a shard.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -357,6 +359,39 @@ std::pair<ScheduleResponse, RouterStats> quorum_of(
   return {answer, stats};
 }
 
+double seconds_since(std::chrono::steady_clock::time_point started) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       started)
+      .count();
+}
+
+TEST(ShardRouterTest, ReplicasSolveAtTheSameTime) {
+  // Each replica holds its request until the other holds one too (for
+  // at most 2 s): only a router that writes to every owner before it
+  // reads any reply lets both meet, and answers without the wait.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int holding = 0;
+  int meetings = 0;
+  const auto meet = [&](const ScheduleRequest&) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++holding;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(2),
+                    [&] { return holding >= 2; })) {
+      ++meetings;
+    }
+    return ok_response(1.0);
+  };
+  const auto started = std::chrono::steady_clock::now();
+  const auto [answer, stats] = quorum_of(meet, meet);
+  const double took_s = seconds_since(started);
+  EXPECT_EQ(answer.status, ScheduleStatus::kOk);
+  EXPECT_EQ(meetings, 2) << "the replicas solved one after the other";
+  EXPECT_EQ(stats.quorum_agreed, 1u);
+  EXPECT_LT(took_s, 1.0);
+}
+
 TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
   // Two scripted shards disagree on the makespan — by 1e-9, and by a
   // single ulp: the router must refuse with a typed kError, count the
@@ -515,28 +550,42 @@ TEST(ShardRouterTest, MultiLoadRequestGetsTypedRefusal) {
   client.close();
 }
 
-TEST(ShardRouterTest, StopNeitherRedialsNorWaitsOutForwardTimeouts) {
-  // Three shards that accept every connection and never answer.
+/// Three shards that accept every connection and never answer, behind
+/// an R=3 router; `on_dial(n)` runs inside the n-th dial.
+struct SilentShards {
   std::mutex held_mutex;
   std::vector<PipeEnd> held;  // the shards' ends, kept open
   std::atomic<int> dials{0};
-  RouterConfig config;
-  config.shard_count = 3;
-  config.replication = 3;
-  config.forward_timeout_s = 3.0;
-  config.probe_dead_shards = false;
-  config.connect = [&](std::size_t) -> std::unique_ptr<Transport> {
-    dls::serve::Pipe pipe = dls::serve::make_pipe();
-    {
-      std::lock_guard<std::mutex> lock(held_mutex);
-      held.push_back(std::move(pipe.a));
-    }
-    dials.fetch_add(1);
-    return std::make_unique<PipeEnd>(std::move(pipe.b));
-  };
-  {
-    ShardRouter router(config);
-    PipeEnd end = router.connect();
+  std::unique_ptr<ShardRouter> router;
+
+  SilentShards(double forward_timeout_s, std::function<void(int)> on_dial) {
+    RouterConfig config;
+    config.shard_count = 3;
+    config.replication = 3;
+    config.forward_timeout_s = forward_timeout_s;
+    config.probe_dead_shards = false;
+    config.connect = [this, on_dial = std::move(on_dial)](
+                         std::size_t) -> std::unique_ptr<Transport> {
+      on_dial(dials.fetch_add(1) + 1);
+      dls::serve::Pipe pipe = dls::serve::make_pipe();
+      {
+        std::lock_guard<std::mutex> lock(held_mutex);
+        held.push_back(std::move(pipe.a));
+      }
+      return std::make_unique<PipeEnd>(std::move(pipe.b));
+    };
+    router = std::make_unique<ShardRouter>(config);
+  }
+  ~SilentShards() {
+    router->stop();
+    for (PipeEnd& shard_end : held) shard_end.close();
+  }
+  SilentShards(const SilentShards&) = delete;
+  SilentShards& operator=(const SilentShards&) = delete;
+
+  /// Sends one request on a fresh client connection, left open.
+  PipeEnd send_request() {
+    PipeEnd end = router->connect();
     ScheduleRequest request;
     request.request_id = 1;
     request.w = {1.0, 1.0};
@@ -544,25 +593,80 @@ TEST(ShardRouterTest, StopNeitherRedialsNorWaitsOutForwardTimeouts) {
     dls::serve::write_frame(
         end, Frame{FrameType::kScheduleRequest,
                    dls::serve::encode_schedule_request(request)});
-    // Park the session reader in its first forward's reply wait.
+    return end;
+  }
+
+  /// Waits up to 10 s for `n` dials to begin; returns the dial count.
+  int wait_for_dials(int n) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (dials.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    while (dials.load() < n && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_EQ(dials.load(), 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-    const auto started = std::chrono::steady_clock::now();
-    router.stop();
-    const double took_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
-    EXPECT_LT(took_s, 1.0);
-    EXPECT_EQ(dials.load(), 1) << "a shard was dialled after stop() began";
-    end.close();
+    return dials.load();
   }
-  for (PipeEnd& shard_end : held) shard_end.close();
+
+  /// Stops the router and returns how long stop() took (seconds). A
+  /// forward that stop() cut short blames no shard.
+  double stop_blaming_no_shard() {
+    const auto started = std::chrono::steady_clock::now();
+    router->stop();
+    const double took_s = seconds_since(started);
+    EXPECT_EQ(router->stats().forward_failures, 0u);
+    EXPECT_EQ(router->alive(), std::vector<bool>(3, true));
+    return took_s;
+  }
+};
+
+TEST(ShardRouterTest, SilentReplicasCostOneDeadline) {
+  // The owners' replies share one deadline: three silent replicas cost
+  // one forward_timeout_s, not three.
+  SilentShards shards(/*forward_timeout_s=*/0.3, [](int) {});
+  const auto started = std::chrono::steady_clock::now();
+  PipeEnd end = shards.send_request();
+  const auto reply = dls::serve::read_frame(end);
+  const double took_s = seconds_since(started);
+  ASSERT_TRUE(reply.has_value());
+  const ScheduleResponse answer =
+      dls::serve::decode_schedule_response(reply->payload);
+  EXPECT_EQ(answer.status, ScheduleStatus::kDegraded);
+  EXPECT_EQ(answer.error, "no owning shard reachable");
+  EXPECT_EQ(shards.router->stats().forward_failures, 3u);
+  EXPECT_LT(took_s, 0.6);
+  end.close();
+}
+
+TEST(ShardRouterTest, StopNeitherRedialsNorWaitsOutForwardTimeouts) {
+  SilentShards shards(/*forward_timeout_s=*/3.0, [](int) {});
+  PipeEnd end = shards.send_request();
+  // Park the session reader in its reply wait, every owner written.
+  ASSERT_EQ(shards.wait_for_dials(3), 3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  EXPECT_LT(shards.stop_blaming_no_shard(), 1.0);
+  EXPECT_EQ(shards.dials.load(), 3) << "a shard was dialled after stop() began";
+  end.close();
+}
+
+TEST(ShardRouterTest, StopDuringTheWritesDialsNoFurtherOwner) {
+  // The second owner's dial lasts until stop() has closed the links:
+  // its link must not be installed (or stop() would wait out the reply
+  // deadline) and the third owner must not be dialled.
+  std::atomic<bool> stopping{false};
+  SilentShards shards(/*forward_timeout_s=*/3.0, [&](int dial) {
+    if (dial != 2) return;
+    while (!stopping.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  });
+  PipeEnd end = shards.send_request();
+  ASSERT_EQ(shards.wait_for_dials(2), 2);
+
+  stopping.store(true);
+  EXPECT_LT(shards.stop_blaming_no_shard(), 1.0);
+  EXPECT_EQ(shards.dials.load(), 2) << "an owner was dialled after stop()";
+  end.close();
 }
 
 }  // namespace
