@@ -2,14 +2,13 @@
 // three clients over the framed transport. The demo exercises the whole
 // service surface — a plain solve, a payments solve, a warm cache hit
 // (bit-identical to the cold response), queue-full shedding with the
-// client's probe-backoff retry, and an already-expired deadline — then
+// client's backoff retry, and an already-expired deadline — then
 // prints the service-side counters.
 #include <cinttypes>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "protocol/recovery.hpp"
 #include "serve/client.hpp"
 #include "serve/service.hpp"
 
@@ -72,7 +71,7 @@ int main() {
 
   // Backpressure: hold the service so the two queue slots fill, then
   // watch the third request get shed — and succeed once the client's
-  // probe-backoff retry finds the queue drained.
+  // backoff retry finds the queue drained.
   service.pause();
   const std::vector<double> w1 = {1.0, 2.0}, w2 = {1.0, 3.0};
   const std::vector<double> w3 = {1.0, 4.0}, z1 = {0.1};
@@ -82,14 +81,15 @@ int main() {
   while (service.stats().admitted < 5) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  dls::protocol::HeartbeatConfig retry;
-  retry.period = 0.05;  // seconds between resends
-  retry.retry_budget = 10;
+  dls::serve::RobustOptions retry;
+  retry.policy.base_delay_s = 0.05;  // seconds before the first resend
+  retry.policy.max_delay_s = 0.5;
+  retry.policy.max_attempts = 11;
   std::thread resumer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     service.resume();
   });
-  const auto retried = carol.schedule_with_retry(w3, z1, {}, retry);
+  const auto retried = carol.schedule_robust(w3, z1, {}, retry).response;
   print_response("carol shed+retry:", retried);
   q1.join();
   q2.join();

@@ -26,30 +26,4 @@ StrategicAgent& Population::agent(AgentIndex index) {
   return agents_[index - 1];
 }
 
-std::vector<double> Population::bids() const {
-  std::vector<double> out;
-  out.reserve(agents_.size());
-  for (const auto& a : agents_) out.push_back(a.bid());
-  return out;
-}
-
-std::vector<double> Population::actual_rates() const {
-  std::vector<double> out;
-  out.reserve(agents_.size());
-  for (const auto& a : agents_) out.push_back(a.actual_rate());
-  return out;
-}
-
-Population Population::random_truthful(std::size_t m, common::Rng& rng,
-                                       double lo, double hi) {
-  DLS_REQUIRE(m >= 1, "population must not be empty");
-  std::vector<StrategicAgent> agents;
-  agents.reserve(m);
-  for (std::size_t i = 1; i <= m; ++i) {
-    agents.push_back(StrategicAgent{i, rng.log_uniform(lo, hi),
-                                    Behavior::truthful()});
-  }
-  return Population(std::move(agents));
-}
-
 }  // namespace dls::agents

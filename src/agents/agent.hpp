@@ -35,15 +35,6 @@ class Population {
   StrategicAgent& agent(AgentIndex index);
   const std::vector<StrategicAgent>& all() const noexcept { return agents_; }
 
-  /// Vector of bids w_1..w_m (index 0 = agent 1).
-  std::vector<double> bids() const;
-  /// Vector of actual rates w̃_1..w̃_m.
-  std::vector<double> actual_rates() const;
-
-  /// All-truthful population with rates drawn LogUniform[lo, hi].
-  static Population random_truthful(std::size_t m, common::Rng& rng,
-                                    double lo, double hi);
-
  private:
   std::vector<StrategicAgent> agents_;
 };

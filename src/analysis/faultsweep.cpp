@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
+#include "protocol/recovery.hpp"
 
 namespace dls::analysis {
 

@@ -11,7 +11,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "protocol/recovery.hpp"
+#include "common/backoff.hpp"
+#include "core/payment_rules.hpp"
 
 namespace dls::analysis {
 
@@ -20,7 +21,7 @@ struct FaultSweepConfig {
   std::size_t trials = 32;     ///< random instances per crash rate
   std::vector<double> crash_rates = {0.0, 0.05, 0.1, 0.2, 0.4};
   std::uint64_t seed = 20260806;
-  protocol::HeartbeatConfig heartbeat;
+  common::HeartbeatConfig heartbeat;
   core::MechanismConfig mechanism;
 };
 

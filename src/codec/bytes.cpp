@@ -19,8 +19,6 @@ void Writer::u64(std::uint64_t v) {
   }
 }
 
-void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
 void Writer::varint(std::uint64_t v) {
   while (v >= 0x80) {
     buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -88,8 +86,6 @@ std::uint64_t Reader::u64() {
   }
   return v;
 }
-
-std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 
 std::uint64_t Reader::varint() {
   std::uint64_t v = 0;

@@ -30,7 +30,6 @@ class Writer {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v);
   /// Unsigned LEB128.
   void varint(std::uint64_t v);
   /// IEEE-754 bit pattern, little-endian.
@@ -66,7 +65,6 @@ class Reader {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  std::int64_t i64();
   std::uint64_t varint();
   double f64();
   /// Bulk f64: fills `out`, equivalent to one f64() per element.

@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/error.hpp"
 
@@ -40,22 +39,6 @@ Xoshiro256::result_type Xoshiro256::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256::long_jump() noexcept {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull, 0x77710069854ee241ull,
-      0x39109bb02acbe635ull};
-  std::array<std::uint64_t, 4> acc = {0, 0, 0, 0};
-  for (const std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (std::uint64_t{1} << b)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s_[i];
-      }
-      (*this)();
-    }
-  }
-  s_ = acc;
-}
-
 double Rng::uniform01() noexcept {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
@@ -81,18 +64,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(draw % span);
 }
 
-double Rng::normal(double mean, double stddev) {
-  DLS_REQUIRE(stddev >= 0.0, "normal requires stddev >= 0");
-  double u1;
-  do {
-    u1 = uniform01();
-  } while (u1 <= 0.0);
-  const double u2 = uniform01();
-  const double mag =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-  return mean + stddev * mag;
-}
-
 double Rng::exponential(double lambda) {
   DLS_REQUIRE(lambda > 0.0, "exponential requires lambda > 0");
   double u = 0.0;
@@ -110,14 +81,6 @@ double Rng::log_uniform(double lo, double hi) {
 bool Rng::bernoulli(double p) {
   DLS_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli requires p in [0,1]");
   return uniform01() < p;
-}
-
-Rng Rng::spawn(std::uint64_t index) noexcept {
-  // Mix the child index through SplitMix64 so adjacent indices give
-  // decorrelated seeds, then offset by fresh bits from the parent.
-  std::uint64_t mix = index ^ 0xa0761d6478bd642full;
-  const std::uint64_t child_seed = splitmix64_next(mix) ^ gen_();
-  return Rng(child_seed);
 }
 
 }  // namespace dls::common

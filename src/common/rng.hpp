@@ -31,10 +31,6 @@ class Xoshiro256 {
 
   result_type operator()() noexcept;
 
-  /// Advances the generator 2^128 steps; yields independent streams for
-  /// parallel experiments.
-  void long_jump() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_;
 };
@@ -52,9 +48,6 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
-  /// Standard normal via Box–Muller (deterministic; no cached spare).
-  double normal(double mean = 0.0, double stddev = 1.0);
 
   /// Exponential with rate `lambda` > 0.
   double exponential(double lambda);
@@ -79,10 +72,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Derives an independent child RNG; children of distinct indices are
-  /// decorrelated streams.
-  Rng spawn(std::uint64_t index) noexcept;
 
   Xoshiro256& generator() noexcept { return gen_; }
 

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -16,43 +15,7 @@ void OnlineStats::add(double x) noexcept {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double OnlineStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-Summary OnlineStats::summary() const noexcept {
-  return Summary{n_, mean(), stddev(), min_, max_, sum_};
-}
-
-Summary summarize(std::span<const double> xs) noexcept {
-  OnlineStats acc;
-  for (const double x : xs) acc.add(x);
-  return acc.summary();
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double percentile(std::span<const double> xs, double p) {
@@ -66,33 +29,6 @@ double percentile(std::span<const double> xs, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  DLS_REQUIRE(xs.size() == ys.size(), "fit_linear requires paired samples");
-  DLS_REQUIRE(xs.size() >= 2, "fit_linear requires >= 2 points");
-  const auto n = static_cast<double>(xs.size());
-  double sx = 0, sy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-  }
-  const double mx = sx / n;
-  const double my = sy / n;
-  double sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  DLS_REQUIRE(sxx > 0.0, "fit_linear requires non-constant xs");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r2 = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-  return fit;
 }
 
 std::size_t argmax(std::span<const double> xs) {

@@ -8,58 +8,29 @@
 
 namespace dls::common {
 
-/// Batch summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-};
-
-/// Welford online accumulator: numerically stable mean/variance without
-/// storing the sample.
+/// Online accumulator: count, running mean (Welford's update), min, max
+/// and sum without storing the sample.
 class OnlineStats {
  public:
   void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1); 0 for fewer than two observations.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
   double sum() const noexcept { return sum_; }
-  Summary summary() const noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
 };
 
-/// Batch summary of `xs`; empty input yields a zeroed Summary.
-Summary summarize(std::span<const double> xs) noexcept;
-
 /// Linearly-interpolated percentile, p in [0, 100]. Sorts a copy.
 /// Requires a non-empty sample.
 double percentile(std::span<const double> xs, double p);
-
-/// Ordinary least squares y = a + b*x over paired samples.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;  ///< coefficient of determination
-};
-
-/// Requires xs.size() == ys.size() >= 2 and non-constant xs.
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
 
 /// Index of the maximum element; requires non-empty input. Ties resolve to
 /// the first maximum.

@@ -41,19 +41,4 @@ double paper_vcg_utility_under_bid(const net::LinearNetwork& true_network,
   return t_without - t;
 }
 
-double cost_plus_utility_under_bid(const net::LinearNetwork& true_network,
-                                   std::size_t index, double bid,
-                                   double actual_rate, double fee) {
-  DLS_REQUIRE(index >= 1 && index < true_network.size(),
-              "index must name a strategic worker");
-  DLS_REQUIRE(bid > 0.0, "bid must be positive");
-  DLS_REQUIRE(actual_rate >= true_network.w(index) - 1e-12,
-              "cannot execute faster than the true rate");
-  // Metered compensation nets out the cost; the fee is all that remains,
-  // no matter what was bid or how fast the processor ran.
-  (void)bid;
-  (void)actual_rate;
-  return fee;
-}
-
 }  // namespace dls::core

@@ -31,11 +31,6 @@ double paper_vcg_utility_under_bid(const net::LinearNetwork& true_network,
                                    std::size_t index, double bid,
                                    double actual_rate);
 
-/// Same counterfactual under cost-plus with flat fee `fee`.
-double cost_plus_utility_under_bid(const net::LinearNetwork& true_network,
-                                   std::size_t index, double bid,
-                                   double actual_rate, double fee);
-
 /// Optimal makespan of the bid chain with processor `index` reduced to a
 /// pure relay (its rate pushed beyond usefulness) — the T_{-j} of the
 /// VCG rule. For the root or a single-worker chain this is the rest of

@@ -133,21 +133,6 @@ DlsLblResult assess_compliant(const net::LinearNetwork& bid_network,
 }
 
 DLS_HOT_NOALLOC
-const DlsLblResult& assess_dls_lbl(const net::LinearNetwork& bid_network,
-                                   std::span<const double> actual_rates,
-                                   std::span<const double> computed_loads,
-                                   const MechanismConfig& config,
-                                   bool solution_found, AssessWorkspace& ws) {
-  DLS_REQUIRE(computed_loads.size() == bid_network.size(),
-              "computed_loads size mismatch");
-  dlt::solve_linear_boundary_into(bid_network, ws.result.solution,
-                                  /*want_steps=*/false);
-  fill_assessments(bid_network, actual_rates, computed_loads, config,
-                   solution_found, ws.result);
-  return ws.result;
-}
-
-DLS_HOT_NOALLOC
 const DlsLblResult& assess_compliant(const net::LinearNetwork& bid_network,
                                      std::span<const double> actual_rates,
                                      const MechanismConfig& config,

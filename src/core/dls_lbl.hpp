@@ -67,13 +67,7 @@ struct AssessWorkspace {
   DlsLblResult result;
 };
 
-/// Workspace flavours; both return ws.result.
-const DlsLblResult& assess_dls_lbl(const net::LinearNetwork& bid_network,
-                                   std::span<const double> actual_rates,
-                                   std::span<const double> computed_loads,
-                                   const MechanismConfig& config,
-                                   bool solution_found, AssessWorkspace& ws);
-
+/// Workspace flavour; returns ws.result.
 const DlsLblResult& assess_compliant(const net::LinearNetwork& bid_network,
                                      std::span<const double> actual_rates,
                                      const MechanismConfig& config,

@@ -81,30 +81,4 @@ DlsStarResult assess_dls_star(const net::StarNetwork& bid_network,
   return result;
 }
 
-double star_utility_under_bid(const net::StarNetwork& true_network,
-                              std::size_t index, double bid,
-                              double actual_rate,
-                              const MechanismConfig& config) {
-  const std::size_t m = true_network.workers();
-  DLS_REQUIRE(index < m, "worker index out of range");
-  DLS_REQUIRE(bid > 0.0, "bid must be positive");
-  DLS_REQUIRE(actual_rate >= true_network.w(index) - 1e-12,
-              "cannot execute faster than the true rate");
-
-  std::vector<double> w, z, actual;
-  w.reserve(m);
-  z.reserve(m);
-  actual.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    w.push_back(i == index ? bid : true_network.w(i));
-    z.push_back(true_network.z(i));
-    actual.push_back(i == index ? actual_rate : true_network.w(i));
-  }
-  const net::StarNetwork bid_network(true_network.root_w(), std::move(w),
-                                     std::move(z));
-  const DlsStarResult result =
-      assess_dls_star(bid_network, actual, config);
-  return result.workers[index].utility;
-}
-
 }  // namespace dls::core

@@ -53,11 +53,4 @@ DlsStarResult assess_dls_star(const net::StarNetwork& bid_network,
                               std::span<const double> actual_rates,
                               const MechanismConfig& config);
 
-/// Counterfactual utility for worker `index` bidding `bid` and executing
-/// at `actual_rate` while everyone else is truthful.
-double star_utility_under_bid(const net::StarNetwork& true_network,
-                              std::size_t index, double bid,
-                              double actual_rate,
-                              const MechanismConfig& config);
-
 }  // namespace dls::core

@@ -34,17 +34,6 @@ Signer KeyRegistry::enroll(AgentId id, common::Rng& rng) {
   return Signer(id, secret);
 }
 
-bool KeyRegistry::is_registered(AgentId id) const noexcept {
-  return keys_.contains(id);
-}
-
-std::optional<KeyFingerprint> KeyRegistry::fingerprint(
-    AgentId id) const noexcept {
-  const auto it = keys_.find(id);
-  if (it == keys_.end()) return std::nullopt;
-  return fingerprint_of(it->second);
-}
-
 bool KeyRegistry::verify(AgentId signer,
                          std::span<const std::uint8_t> message,
                          const Signature& sig) const noexcept {

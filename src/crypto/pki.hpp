@@ -85,10 +85,6 @@ class KeyRegistry {
   /// Generates, registers and returns a Signer for `id`.
   Signer enroll(AgentId id, common::Rng& rng);
 
-  bool is_registered(AgentId id) const noexcept;
-
-  std::optional<KeyFingerprint> fingerprint(AgentId id) const noexcept;
-
   /// True iff `sig` is a valid tag by `signer` over `message`. Unknown
   /// signers verify as false.
   bool verify(AgentId signer, std::span<const std::uint8_t> message,

@@ -104,11 +104,6 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   }
 }
 
-void Sha256::update(std::string_view data) noexcept {
-  update(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
-}
-
 Digest Sha256::finish() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
   // Padding: 0x80, zeros, 64-bit big-endian length.
@@ -135,12 +130,6 @@ Digest Sha256::finish() noexcept {
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
-}
-
-Digest Sha256::hash(std::string_view data) noexcept {
   Sha256 h;
   h.update(data);
   return h.finish();

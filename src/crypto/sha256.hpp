@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 namespace dls::crypto {
 
@@ -22,7 +21,6 @@ class Sha256 {
   Sha256() noexcept;
 
   void update(std::span<const std::uint8_t> data) noexcept;
-  void update(std::string_view data) noexcept;
 
   /// Finalises and returns the digest. The object must not be reused
   /// afterwards without calling reset().
@@ -32,7 +30,6 @@ class Sha256 {
 
   /// One-shot convenience.
   static Digest hash(std::span<const std::uint8_t> data) noexcept;
-  static Digest hash(std::string_view data) noexcept;
 
  private:
   void process_block(const std::uint8_t* block) noexcept;

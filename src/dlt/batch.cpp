@@ -53,11 +53,8 @@ void BatchLinearSolver::reserve(std::size_t processors, std::size_t lanes) {
   alpha_hat_.reserve(cells);
   equivalent_w_.reserve(cells);
   received_.reserve(cells);
-  finish_.reserve(cells);
   tail_.reserve(lanes);
   remaining_.reserve(lanes);
-  assigned_.reserve(lanes);
-  arrival_.reserve(lanes);
   lane_filled_.reserve(lanes);
 }
 
@@ -196,38 +193,6 @@ void BatchLinearSolver::audit_lanes() {
   if (k > 1) {
     audit_cursor_ = (audit_cursor_ + 1) % (k - 1);
     audit(audit_cursor_);
-  }
-}
-
-DLS_HOT_NOALLOC
-void BatchLinearSolver::evaluate_finish_times() {
-  DLS_REQUIRE(solved_, "evaluate_finish_times requires a solved batch");
-  const std::size_t n = processors_;
-  const std::size_t k = lanes_;
-  finish_.resize(n * k);
-  assigned_.resize(k);
-  arrival_.resize(k);
-  // Mirror of finish_times_into, lane loop innermost. The expressions
-  // match the scalar ones exactly (including the alpha > 0 branch), so
-  // finish_time(lane, i) is bit-identical to the per-instance call.
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    finish_[lane] = alpha_[lane] * w_stage_[lane * n];  // eq. (2.1)
-    assigned_[lane] = alpha_[lane];
-    arrival_[lane] = 0.0;
-  }
-  for (std::size_t j = 1; j < n; ++j) {
-    const double* const aj = alpha_.data() + j * k;
-    const double* const wj = w_stage_.data() + j;
-    const double* const zj = z_stage_.data() + (j - 1);
-    double* const fj = finish_.data() + j * k;
-    for (std::size_t lane = 0; lane < k; ++lane) {
-      const double transiting = 1.0 - assigned_[lane];  // D_j
-      arrival_[lane] += transiting * zj[lane * (n - 1)];
-      fj[lane] = aj[lane] > 0.0
-                     ? arrival_[lane] + aj[lane] * wj[lane * n]
-                     : 0.0;
-      assigned_[lane] += aj[lane];
-    }
   }
 }
 

@@ -73,10 +73,6 @@ class BatchLinearSolver {
   /// Runs Algorithm 1 on every lane. Requires all lanes filled.
   void solve();
 
-  /// Finish times by eqs. (2.1)-(2.2) for every lane's optimal
-  /// allocation; call after solve(). Results via finish_time().
-  void evaluate_finish_times();
-
   std::size_t processors() const noexcept { return processors_; }
   std::size_t lanes() const noexcept { return lanes_; }
 
@@ -103,11 +99,6 @@ class BatchLinearSolver {
     return received_[i * lanes_ + lane];
   }
   double makespan(std::size_t lane) const { return equivalent_w_[lane]; }
-
-  /// Valid after evaluate_finish_times().
-  double finish_time(std::size_t lane, std::size_t i) const {
-    return finish_[i * lanes_ + lane];
-  }
 
   /// Gathers lane `lane` into `out`, bit-identical to
   /// solve_linear_boundary(network, ws, /*want_steps=*/false) on the
@@ -136,13 +127,10 @@ class BatchLinearSolver {
   std::vector<double> alpha_hat_;
   std::vector<double> equivalent_w_;
   std::vector<double> received_;
-  std::vector<double> finish_;
 
   // Per-lane scratch (length lanes_).
   std::vector<double> tail_;
   std::vector<double> remaining_;
-  std::vector<double> assigned_;
-  std::vector<double> arrival_;
 
   std::vector<std::uint8_t> lane_filled_;
   std::size_t filled_count_ = 0;

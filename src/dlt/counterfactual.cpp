@@ -136,20 +136,4 @@ void CounterfactualSolver::rebid_batch(std::size_t index,
   }
 }
 
-CounterfactualSolver::Rebid CounterfactualSolver::rebid_allocation(
-    std::size_t index, double bid, std::vector<double>& alpha_out) {
-  const Rebid r = rebid(index, bid);
-  const std::size_t n = w_.size();
-  alpha_out.assign(n, 0.0);
-  double remaining = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // α̂ comes from the rebid prefix up to `index`, from the cached base
-    // solution beyond it.
-    const double ah = i <= index ? ah_scratch_[i] : base_.alpha_hat[i];
-    alpha_out[i] = remaining * ah;
-    remaining *= (1.0 - ah);
-  }
-  return r;
-}
-
 }  // namespace dls::dlt

@@ -52,11 +52,6 @@ class CounterfactualSolver {
   /// `bid` must be finite and positive (PreconditionError otherwise).
   Rebid rebid(std::size_t index, double bid);
 
-  /// Full allocation vector of the counterfactual chain, written into
-  /// `alpha_out` (resized; reused across calls). O(size()).
-  Rebid rebid_allocation(std::size_t index, double bid,
-                         std::vector<double>& alpha_out);
-
   /// Batched rebid: out[k] = rebid(index, bids[k]) bit-for-bit, for all
   /// candidate bids in lockstep. The prefix recurrence runs across bid
   /// lanes in SoA layout (the vectorized lane kernels of

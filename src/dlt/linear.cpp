@@ -121,24 +121,10 @@ std::vector<double> finish_times(const net::LinearNetwork& network,
   return t;
 }
 
-std::span<const double> finish_times(const net::LinearNetwork& network,
-                                     std::span<const double> alpha,
-                                     LinearSolverWorkspace& ws) {
-  finish_times_into(network, alpha, ws.finish);
-  return ws.finish;
-}
-
 double makespan(const net::LinearNetwork& network,
                 std::span<const double> alpha) {
   const std::vector<double> t = finish_times(network, alpha);
   return *std::max_element(t.begin(), t.end());
-}
-
-DLS_HOT_NOALLOC
-double makespan(const net::LinearNetwork& network,
-                std::span<const double> alpha, LinearSolverWorkspace& ws) {
-  finish_times_into(network, alpha, ws.finish);
-  return *std::max_element(ws.finish.begin(), ws.finish.end());
 }
 
 double finish_time_spread(const net::LinearNetwork& network,

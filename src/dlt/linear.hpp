@@ -51,11 +51,10 @@ void solve_linear_boundary_into(const net::LinearNetwork& network,
                                 LinearSolution& out, bool want_steps = true);
 
 /// Caller-owned reusable buffers for the solver hot path. Construct one
-/// per thread (or per sweep), then every solve/finish-time call through
-/// it is allocation-free after the first.
+/// per thread (or per sweep), then every solve through it is
+/// allocation-free after the first.
 struct LinearSolverWorkspace {
-  LinearSolution solution;     ///< reused by solve_linear_boundary
-  std::vector<double> finish;  ///< reused by finish_times/makespan
+  LinearSolution solution;  ///< reused by solve_linear_boundary
 };
 
 /// Workspace flavour of Algorithm 1; returns ws.solution. Skips the
@@ -95,18 +94,9 @@ void finish_times_into(const net::LinearNetwork& network,
                        std::span<const double> alpha,
                        std::vector<double>& out);
 
-/// Workspace flavour; the returned span views ws.finish.
-std::span<const double> finish_times(const net::LinearNetwork& network,
-                                     std::span<const double> alpha,
-                                     LinearSolverWorkspace& ws);
-
 /// max over finish_times.
 double makespan(const net::LinearNetwork& network,
                 std::span<const double> alpha);
-
-/// Allocation-free max over finish_times via the workspace.
-double makespan(const net::LinearNetwork& network,
-                std::span<const double> alpha, LinearSolverWorkspace& ws);
 
 /// Largest pairwise relative gap between finish times of *participating*
 /// processors — 0 at the optimum by Theorem 2.1.

@@ -70,68 +70,4 @@ MultiLoadAssessment assess_loads(const net::LinearNetwork& bid_network,
   return result;
 }
 
-void post_to_ledger(payment::Ledger& ledger,
-                    const MultiLoadAssessment& assessment,
-                    payment::AccountId first_account) {
-  const std::size_t n = assessment.unit.processors.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    const payment::AccountId account =
-        first_account + static_cast<payment::AccountId>(j);
-    if (!ledger.has_account(account)) ledger.open_account(account);
-  }
-  for (const LoadPayments& load : assessment.loads) {
-    const std::string memo = "load " + std::to_string(load.load_id);
-    for (std::size_t j = 0; j < n; ++j) {
-      const payment::AccountId account =
-          first_account + static_cast<payment::AccountId>(j);
-      // The root is reimbursed its compute cost; strategic processors
-      // are paid Q_j = C_j + B_j (+ S). Zero-amount legs are skipped so
-      // the statement stays readable.
-      if (load.compensation[j] > 0.0) {
-        ledger.post({payment::kTreasury, account,
-                     payment::TransferKind::kCompensation,
-                     load.compensation[j], memo});
-      }
-      if (j > 0 && load.bonus[j] > 0.0) {
-        ledger.post({payment::kTreasury, account,
-                     payment::TransferKind::kBonus, load.bonus[j], memo});
-      }
-      if (j > 0 && load.solution_bonus[j] > 0.0) {
-        ledger.post({payment::kTreasury, account,
-                     payment::TransferKind::kSolutionBonus,
-                     load.solution_bonus[j], memo});
-      }
-    }
-  }
-}
-
-MultiLoadMechanism::MultiLoadMechanism(const net::LinearNetwork& bid_base,
-                                       std::span<const double> actual_rates,
-                                       const core::MechanismConfig& config)
-    : mechanism_(bid_base, actual_rates, config), config_(config) {}
-
-double MultiLoadMechanism::scale(double unit_utility, double size) const {
-  const double flat =
-      config_.solution_bonus_enabled ? config_.solution_bonus : 0.0;
-  if (size == 1.0) return unit_utility;
-  return size * (unit_utility - flat) + flat;
-}
-
-double MultiLoadMechanism::utility(std::size_t index, double bid,
-                                   double actual_rate, double size) {
-  DLS_REQUIRE(size > 0.0, "load sizes must be positive");
-  return scale(mechanism_.utility(index, bid, actual_rate), size);
-}
-
-void MultiLoadMechanism::utility_curve(std::size_t index,
-                                       std::span<const double> bids,
-                                       double size,
-                                       std::span<double> utilities) {
-  DLS_REQUIRE(size > 0.0, "load sizes must be positive");
-  DLS_REQUIRE(bids.size() == utilities.size(),
-              "utility_curve output span must match the bid count");
-  mechanism_.utility_curve(index, bids, utilities);
-  for (double& u : utilities) u = scale(u, size);
-}
-
 }  // namespace dls::multiload

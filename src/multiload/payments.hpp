@@ -8,11 +8,6 @@
 // bonus, which is a fixed reward per verified solution. So one unit
 // assessment of the bid network (core::assess_compliant) prices every
 // load: Q_j(load) = size · (Q_j(unit) − S) + S.
-//
-// MultiLoadMechanism answers per-load counterfactual utilities the same
-// way: one shared dlt::CounterfactualSolver (inside
-// core::CounterfactualMechanism) makes a "what if P_j had bid w for
-// this load" query an O(j) incremental rebid, not a full re-solve.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +17,6 @@
 #include "core/dls_lbl.hpp"
 #include "multiload/types.hpp"
 #include "net/networks.hpp"
-#include "payment/ledger.hpp"
 
 namespace dls::multiload {
 
@@ -61,44 +55,5 @@ MultiLoadAssessment assess_loads(const net::LinearNetwork& bid_network,
                                  const std::vector<LoadSpec>& loads,
                                  const core::MechanismConfig& config,
                                  core::AssessWorkspace& ws);
-
-/// Posts every load's transfers to `ledger`, double-entry against the
-/// treasury: compensation (root reimbursement included) and bonus per
-/// processor per load, plus the flat solution bonus when paid. The
-/// account of P_i is `first_account + i` (accounts are opened if
-/// missing); memos carry the load id so a statement can be split per
-/// client. Conservation (Σ balances == 0) holds by construction and is
-/// asserted by the ledger itself.
-void post_to_ledger(payment::Ledger& ledger,
-                    const MultiLoadAssessment& assessment,
-                    payment::AccountId first_account);
-
-/// Per-load counterfactual utilities over one shared incremental
-/// solver. Wraps core::CounterfactualMechanism with the same size
-/// scaling as assess_loads, so
-///   utility(j, bid, actual, size) == size · (U_j(unit) − S) + S
-/// bit-for-bit with the unscaled mechanism at size 1.
-class MultiLoadMechanism {
- public:
-  MultiLoadMechanism(const net::LinearNetwork& bid_base,
-                     std::span<const double> actual_rates,
-                     const core::MechanismConfig& config);
-
-  /// U_index for a load of `size` when bidding `bid` and executing at
-  /// `actual_rate`; everyone else per the base profile. index >= 1.
-  double utility(std::size_t index, double bid, double actual_rate,
-                 double size);
-
-  /// Batched bid sweep for one load: utilities[k] = utility(index,
-  /// bids[k], base actual rate, size), via one SoA rebid pass.
-  void utility_curve(std::size_t index, std::span<const double> bids,
-                     double size, std::span<double> utilities);
-
- private:
-  double scale(double unit_utility, double size) const;
-
-  core::CounterfactualMechanism mechanism_;
-  core::MechanismConfig config_;
-};
 
 }  // namespace dls::multiload

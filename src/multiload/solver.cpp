@@ -65,16 +65,6 @@ MultiLoadSolver::MultiLoadSolver(const net::LinearNetwork& network)
   }
 }
 
-double MultiLoadSolver::serialized_makespan(
-    const std::vector<LoadSpec>& loads) const {
-  // Today's serve behaviour: strict rounds in release order. Each round
-  // stages the load into the root (one-port ingress shared with
-  // nothing, since nothing else runs) and then executes the Algorithm 1
-  // schedule; the next round starts only after the round completes.
-  // Note with ingress_z == 0 this is simply back-to-back execution.
-  return serialized_makespan_with_ingress(loads, 0.0);
-}
-
 MultiLoadSchedule MultiLoadSolver::solve(const std::vector<LoadSpec>& loads,
                                          const MultiLoadConfig& config) {
   DLS_REQUIRE(!loads.empty(), "multi-load solve needs at least one load");

@@ -51,11 +51,6 @@ class MultiLoadSolver {
   MultiLoadSchedule solve(const std::vector<LoadSpec>& loads,
                           const MultiLoadConfig& config = {});
 
-  /// The serialized baseline alone (load k+1 starts after load k
-  /// completes, FIFO order): what today's serve layer produces. No
-  /// ingress cost; equals serialized_makespan_with_ingress(loads, 0).
-  double serialized_makespan(const std::vector<LoadSpec>& loads) const;
-
   /// Serialized strict rounds including per-round ingress staging: each
   /// load is staged into the root (size · ingress_z) and then executed,
   /// with the next round starting only at completion. The chain idles

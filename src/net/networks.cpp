@@ -193,23 +193,8 @@ BusNetwork::BusNetwork(double root_w, std::vector<double> worker_w,
   require_positive(w_, "worker processing time w");
 }
 
-double BusNetwork::w(std::size_t i) const {
-  DLS_REQUIRE(i < w_.size(), "worker index out of range");
-  return w_[i];
-}
-
 StarNetwork BusNetwork::as_star() const {
   return StarNetwork(root_w_, w_, std::vector<double>(w_.size(), z_));
-}
-
-BusNetwork BusNetwork::random(std::size_t workers, common::Rng& rng,
-                              double w_lo, double w_hi, double bus_z,
-                              bool root_computes) {
-  DLS_REQUIRE(workers >= 1, "need at least one worker");
-  std::vector<double> w(workers);
-  for (auto& wi : w) wi = rng.log_uniform(w_lo, w_hi);
-  const double root_w = root_computes ? rng.log_uniform(w_lo, w_hi) : 0.0;
-  return BusNetwork(root_w, std::move(w), bus_z);
 }
 
 }  // namespace dls::net

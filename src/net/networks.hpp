@@ -133,15 +133,10 @@ class BusNetwork {
   std::size_t workers() const noexcept { return w_.size(); }
   bool root_computes() const noexcept { return root_w_ > 0.0; }
   double root_w() const noexcept { return root_w_; }
-  double w(std::size_t i) const;
   double bus_z() const noexcept { return z_; }
 
   /// Equivalent star: every link has the shared bus time.
   StarNetwork as_star() const;
-
-  static BusNetwork random(std::size_t workers, common::Rng& rng,
-                           double w_lo, double w_hi, double bus_z,
-                           bool root_computes);
 
  private:
   double root_w_;

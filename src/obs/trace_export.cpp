@@ -116,18 +116,6 @@ void StreamingChromeTrace::finish(const MetricsSnapshot* metrics) {
   out_ << "}\n";
 }
 
-void write_jsonl(std::ostream& out, std::span<const SpanEvent> events) {
-  for (const SpanEvent& e : events) {
-    out << "{\"name\":" << json_string(e.name)
-        << ",\"track\":" << json_string(track_name(e.track))
-        << ",\"thread\":" << e.thread << ",\"depth\":" << e.depth
-        << ",\"seq\":" << e.seq << ",\"start_ns\":" << e.start_ns
-        << ",\"end_ns\":" << e.end_ns;
-    if (!e.args.empty()) out << ",\"args\":" << e.args;
-    out << "}\n";
-  }
-}
-
 void dump_summary(std::ostream& out, std::span<const SpanEvent> events,
                   const MetricsSnapshot& metrics) {
   struct Agg {

@@ -8,7 +8,6 @@
 //   * StreamingChromeTrace — the in-flight flavour: events are appended
 //     to the stream in batches as they are drained, so a long soak run
 //     never buffers its whole span history in memory before export.
-//   * write_jsonl — one flat JSON object per line, for grep/jq pipelines.
 //   * dump_summary — a human table: per-span-name count/total/mean/max
 //     plus every counter, gauge and histogram.
 #pragma once
@@ -60,8 +59,6 @@ class StreamingChromeTrace {
   bool first_ = true;
   bool finished_ = false;
 };
-
-void write_jsonl(std::ostream& out, std::span<const SpanEvent> events);
 
 void dump_summary(std::ostream& out, std::span<const SpanEvent> events,
                   const MetricsSnapshot& metrics);

@@ -44,20 +44,6 @@ VerificationResult check_claim(const crypto::KeyRegistry& registry,
 
 }  // namespace
 
-VerificationResult verify_bid_message(const crypto::KeyRegistry& registry,
-                                      const BidMessage& message,
-                                      crypto::AgentId expected_signer,
-                                      std::uint64_t round) {
-  auto result =
-      check_claim(registry, message.equivalent_bid, ClaimKind::kEquivalentBid,
-                  expected_signer, expected_signer, round, "phase-I bid");
-  if (!result.ok) return result;
-  if (!(message.equivalent_bid.claim.value > 0.0)) {
-    return VerificationResult::fail("phase-I bid: non-positive w̄");
-  }
-  return VerificationResult::pass();
-}
-
 VerificationResult verify_allocation_message(
     const crypto::KeyRegistry& registry, const AllocationMessage& message,
     std::size_t i, double z_i, const crypto::SignedClaim& own_bid,

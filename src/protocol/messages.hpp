@@ -1,10 +1,9 @@
-// Protocol messages and their verification — Phases I and II.
+// The Phase II allocation message and its verification.
 //
-// Phase I carries each processor's equivalent bid w̄_i to its predecessor
-// as a signed claim. Phase II carries the allocation message G_i of eqs.
-// (4.1)/(4.2): five signed claims binding the received-load fractions
-// D_{i-1}, D_i, the predecessor's equivalent bid and rate bid, and the
-// recipient's own echoed bid. The recipient re-derives
+// Phase II carries the allocation message G_i of eqs. (4.1)/(4.2): five
+// signed claims binding the received-load fractions D_{i-1}, D_i, the
+// predecessor's equivalent bid and rate bid, and the recipient's own
+// echoed Phase I bid. The recipient re-derives
 //   α̂_{i-1} = (D_{i-1} − D_i) / D_{i-1}
 // and checks w̄_{i-1} = α̂_{i-1} w_{i-1} and the balance condition (2.7)
 //   α̂_{i-1} w_{i-1} = (1 − α̂_{i-1})(w̄_i + z_i).
@@ -18,11 +17,6 @@
 
 namespace dls::protocol {
 
-/// Phase I: dsm_i(w̄_i) flowing from P_i to P_{i-1}.
-struct BidMessage {
-  crypto::SignedClaim equivalent_bid;
-};
-
 /// Phase II: the allocation message G_i delivered to P_i (4.1)/(4.2).
 struct AllocationMessage {
   crypto::SignedClaim received_pred;   ///< dsm_{i-2}(D_{i-1}) (dsm_0 for i=1)
@@ -32,28 +26,6 @@ struct AllocationMessage {
                                        ///< (paper: dsm_{i-2}(w̄_{i-1}))
   crypto::SignedClaim rate_bid_pred;   ///< dsm_{i-1}(w_{i-1})
   crypto::SignedClaim equiv_bid_self;  ///< dsm_{i-1}(w̄_i), echo of Phase I
-};
-
-/// Phase III: P_i's end-of-round report to the root — the tamper-proof
-/// meter's reading dsm_0(w̃_i) forwarded together with P_i's own claim
-/// over its Λ token count, the evidence a load-shedding grievance
-/// rests on.
-struct ReportMessage {
-  crypto::SignedClaim metered_rate;  ///< dsm_0(w̃_i), kMeteredRate
-  crypto::SignedClaim token_count;   ///< dsm_i(|Λ_i|), kLoadTokenCount
-};
-
-/// Phase IV: the root's payment notice to P_i — the monetary terms of
-/// eqs. (4.6)-(4.9) plus the meter reading the bill rests on, so the
-/// recipient can audit the arithmetic against its own records.
-struct PaymentMessage {
-  std::uint32_t processor = 0;  ///< i, the paid processor's position
-  std::uint64_t round = 0;
-  double compensation = 0.0;    ///< C_i (includes E_i)
-  double bonus = 0.0;           ///< B_i
-  double solution_bonus = 0.0;  ///< S (0 unless enabled and solved)
-  double payment = 0.0;         ///< Q_i
-  crypto::SignedClaim metered_rate;  ///< dsm_0(w̃_i) echoed from Phase III
 };
 
 /// Result of verifying a message: empty string = OK, otherwise a
@@ -67,13 +39,6 @@ struct VerificationResult {
     return VerificationResult{false, std::move(why)};
   }
 };
-
-/// Signature + well-formedness of a Phase I bid from `expected_signer`
-/// about itself in `round`.
-VerificationResult verify_bid_message(const crypto::KeyRegistry& registry,
-                                      const BidMessage& message,
-                                      crypto::AgentId expected_signer,
-                                      std::uint64_t round);
 
 /// Full Phase II verification as P_i would perform it.
 ///  * `i`            — recipient's position (1-based worker position);

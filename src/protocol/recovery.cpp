@@ -13,22 +13,6 @@
 
 namespace dls::protocol {
 
-double exponential_backoff(double base, double factor, std::size_t attempt,
-                           double cap) noexcept {
-  double wait = base;
-  for (std::size_t r = 0; r < attempt; ++r) wait *= factor;
-  return std::min(wait, cap);
-}
-
-std::string to_string(UnderComputeVerdict verdict) {
-  switch (verdict) {
-    case UnderComputeVerdict::kCompliant: return "compliant";
-    case UnderComputeVerdict::kCrash: return "crash";
-    case UnderComputeVerdict::kShedding: return "shedding";
-  }
-  return "unknown";
-}
-
 UnderComputeVerdict classify_under_computation(double assigned,
                                                double computed,
                                                bool heartbeats_stopped,
@@ -51,11 +35,9 @@ namespace {
 /// deadline. Runs on the discrete-event engine so the latency numbers
 /// compose with the execution timeline.
 struct Monitor {
-  HeartbeatConfig cfg;
+  common::HeartbeatConfig cfg;
   std::optional<sim::Time> crash_time;
-  double loss_p = 0.0;
   sim::Time horizon = 0.0;
-  common::Rng* rng = nullptr;
 
   DetectionReport report;
   bool done = false;
@@ -70,7 +52,7 @@ struct Monitor {
   }
 
   double backoff(std::size_t attempt) const {
-    return exponential_backoff(cfg.timeout, cfg.backoff_factor, attempt,
+    return common::exponential_backoff(cfg.timeout, cfg.backoff_factor, attempt,
                                cfg.max_backoff);
   }
 
@@ -103,11 +85,7 @@ struct Monitor {
     if (done) return;
     ++report.probes_sent;
     const double rtt = cfg.timeout * 0.5;
-    const bool probe_through = rng->bernoulli(1.0 - loss_p);
-    const bool reply_through = rng->bernoulli(1.0 - loss_p);
-    const bool answered =
-        alive_at(sim.now()) && probe_through && reply_through;
-    if (answered) {
+    if (alive_at(sim.now())) {
       sim.schedule_after(rtt, [this](sim::Simulator& s) { on_beat(s); });
     }
     // Pessimistically arm the retry; a reply in flight will cancel it.
@@ -130,43 +108,33 @@ struct Monitor {
 
 }  // namespace
 
-DetectionReport monitor_processor(const HeartbeatConfig& config,
+DetectionReport monitor_processor(const common::HeartbeatConfig& config,
                                   std::optional<sim::Time> crash_time,
-                                  double loss_probability, sim::Time horizon,
-                                  common::Rng rng) {
+                                  sim::Time horizon) {
   DLS_REQUIRE(config.period > 0.0 && config.timeout > 0.0,
               "heartbeat period and timeout must be positive");
   DLS_REQUIRE(config.retry_budget >= 1, "retry budget must be >= 1");
-  DLS_REQUIRE(loss_probability >= 0.0 && loss_probability < 1.0,
-              "loss probability must lie in [0, 1)");
   DLS_SPAN("recovery.monitor");
 
   Monitor monitor;
   monitor.cfg = config;
   monitor.crash_time = crash_time;
-  monitor.loss_p = loss_probability;
   monitor.horizon = horizon;
-  monitor.rng = &rng;
   monitor.report.crash_time = crash_time.value_or(0.0);
 
   sim::Simulator sim;
-  // The worker streams beats every period while alive (each beat an
-  // independent loss draw); the root arms the first deadline at t = 0.
+  // The worker streams beats every period while alive; the root arms
+  // the first deadline at t = 0.
   // Beat times are computed by multiplication, not accumulation, so the
   // schedule is exact and replays identically.
   for (std::size_t k = 1;; ++k) {
     const sim::Time t = config.period * static_cast<double>(k);
     if (t > horizon || !monitor.alive_at(t)) break;
-    sim.schedule_at(t, [&monitor](sim::Simulator& s) {
-      if (monitor.rng->bernoulli(1.0 - monitor.loss_p)) monitor.on_beat(s);
-    });
+    sim.schedule_at(t, [&monitor](sim::Simulator& s) { monitor.on_beat(s); });
   }
   monitor.arm_deadline(sim);
   sim.run();
 
-  if (monitor.report.confirmed_dead && !crash_time) {
-    monitor.report.false_alarm = true;
-  }
   DLS_COUNT("recovery.probes", monitor.report.probes_sent);
   if (monitor.report.confirmed_dead) {
     DLS_COUNT("recovery.crashes_confirmed");
@@ -271,10 +239,7 @@ FtRunReport run_protocol_ft(const net::LinearNetwork& true_network,
     const std::optional<sim::Time> crash_time =
         fx.crashed[i] ? std::optional<sim::Time>(fx.crash_time[i])
                       : std::nullopt;
-    out.detection[i] =
-        monitor_processor(ft.heartbeat, crash_time,
-                          ft.faults.path_loss_probability(i), horizon,
-                          rng.spawn(0x6ea7u + i));
+    out.detection[i] = monitor_processor(ft.heartbeat, crash_time, horizon);
   }
 
   // Verdicts: token evidence (excess received vs published D) against
@@ -335,7 +300,7 @@ FtRunReport run_protocol_ft(const net::LinearNetwork& true_network,
     }
   }
   for (const DetectionReport& det : out.detection) {
-    if (det.confirmed_dead && !det.false_alarm) {
+    if (det.confirmed_dead) {
       out.detection_latency = std::max(out.detection_latency, det.latency());
     }
   }
@@ -393,16 +358,12 @@ FtRunReport run_protocol_ft(const net::LinearNetwork& true_network,
   out.recovered = std::abs(covered - 1.0) <= 1e-9;
   report.makespan = out.degraded_makespan;
 
-  // Phase IV: metering (dropped meters fall back to the declared bid),
-  // assessment over the *final* computed loads, and settlement.
+  // Phase IV: metering, assessment over the *final* computed loads, and
+  // settlement.
   const TamperProofMeter meter(signers[0], options.round);
   std::vector<double> metered(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double declared = i == 0 ? true_network.w(0) : w[i];
-    if (!fx.meter_ok[i]) {
-      metered[i] = declared;
-      continue;
-    }
     const crypto::SignedClaim claim = meter.read(fx.base, i, declared);
     DLS_REQUIRE(crypto::verify(registry, claim), "meter claims must verify");
     metered[i] = claim.claim.value;

@@ -22,9 +22,9 @@
 // Detection: every worker streams heartbeats (period H) which double as
 // signed progress claims; the root arms a deadline timer per worker and,
 // on a miss, probes with bounded exponential backoff until either a
-// reply arrives (timer re-armed, a lossy link caused a false miss) or
-// the retry budget is exhausted (crash confirmed). Detection latency is
-// the confirmed time minus the true crash instant.
+// reply arrives (timer re-armed) or the retry budget is exhausted (crash
+// confirmed). Detection latency is the confirmed time minus the true
+// crash instant.
 //
 // Recovery: the root re-runs Algorithm 1 (the equivalent-processor
 // reduction) over the longest still-reachable prefix of the chain and
@@ -40,47 +40,29 @@
 #include <vector>
 
 #include "agents/agent.hpp"
+#include "common/backoff.hpp"
 #include "net/networks.hpp"
 #include "protocol/runner.hpp"
 #include "sim/faults.hpp"
 
 namespace dls::protocol {
 
-/// Shared backoff core: min(base * factor^attempt, cap), computed by
-/// repeated multiplication so every retry loop in the codebase (the
-/// probe monitor here, the serve layer's RetryPolicy) produces
-/// bit-identical waits for the same knobs.
-double exponential_backoff(double base, double factor, std::size_t attempt,
-                           double cap) noexcept;
-
-/// Heartbeat / probe timing knobs (all in simulation time units).
-struct HeartbeatConfig {
-  double period = 0.05;        ///< worker heartbeat interval
-  double timeout = 0.05;       ///< slack past the period before suspicion
-  std::size_t retry_budget = 3;  ///< probes before a crash is confirmed
-  double backoff_factor = 2.0;   ///< exponential probe backoff
-  double max_backoff = 0.5;      ///< cap on the inter-probe wait
-};
-
 /// What the root concluded about one worker's liveness.
 struct DetectionReport {
   bool confirmed_dead = false;  ///< retry budget exhausted
-  bool false_alarm = false;     ///< declared dead but actually alive
   sim::Time crash_time = 0.0;   ///< ground truth (0 when alive)
   sim::Time confirmed_at = 0.0; ///< when the budget ran out
   std::size_t probes_sent = 0;
-  std::size_t timeouts = 0;     ///< deadline expiries (incl. false misses)
+  std::size_t timeouts = 0;     ///< deadline expiries
   double latency() const noexcept { return confirmed_at - crash_time; }
 };
 
 /// Deterministically simulates the heartbeat/probe exchange with one
 /// worker. `crash_time` is the ground-truth death instant (nullopt =
-/// alive); `loss_probability` applies independently to every beat,
-/// probe, and reply; monitoring stops at `horizon` for live workers.
-DetectionReport monitor_processor(const HeartbeatConfig& config,
+/// alive); monitoring stops at `horizon` for live workers.
+DetectionReport monitor_processor(const common::HeartbeatConfig& config,
                                   std::optional<sim::Time> crash_time,
-                                  double loss_probability, sim::Time horizon,
-                                  common::Rng rng);
+                                  sim::Time horizon);
 
 /// The disambiguation verdict for an under-computing processor.
 enum class UnderComputeVerdict : std::uint8_t {
@@ -88,8 +70,6 @@ enum class UnderComputeVerdict : std::uint8_t {
   kCrash,      ///< fail-stop: recompense for verified work, no fine
   kShedding,   ///< strategic: fined per Thm 5.1
 };
-
-std::string to_string(UnderComputeVerdict verdict);
 
 /// Applies the crash-vs-shedding rule documented above.
 UnderComputeVerdict classify_under_computation(double assigned,
@@ -99,8 +79,8 @@ UnderComputeVerdict classify_under_computation(double assigned,
                                                double tolerance);
 
 struct FaultToleranceOptions {
-  sim::FaultPlan faults;       ///< the chaos script for Phase III
-  HeartbeatConfig heartbeat;
+  sim::FaultPlan faults;  ///< the chaos script for Phase III
+  common::HeartbeatConfig heartbeat;
 };
 
 /// Final settlement for one crashed processor.

@@ -32,10 +32,6 @@ TokenBatch TokenAuthority::issue_unit_load() {
   return batch;
 }
 
-double TokenAuthority::to_load(std::size_t blocks) const noexcept {
-  return static_cast<double>(blocks) / static_cast<double>(blocks_per_unit_);
-}
-
 std::size_t TokenAuthority::to_blocks(double load) const noexcept {
   const double blocks = load * static_cast<double>(blocks_per_unit_);
   return static_cast<std::size_t>(std::llround(blocks));

@@ -40,9 +40,6 @@ class TokenAuthority {
   /// Issues the full unit load (called once per protocol round).
   TokenBatch issue_unit_load();
 
-  /// Load units represented by `blocks` blocks.
-  double to_load(std::size_t blocks) const noexcept;
-
   /// Number of blocks corresponding to `load` units (rounded to nearest).
   std::size_t to_blocks(double load) const noexcept;
 

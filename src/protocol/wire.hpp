@@ -1,36 +1,18 @@
-// Wire format for the protocol messages: canonical byte encodings for
-// signed claims and the Phase I/II messages, so a deployment can ship
-// them over a real transport. Decoding is strict — unknown magic,
-// truncation or trailing bytes are rejected — and round-trips preserve
-// signatures bit-for-bit (the signature covers the claim's canonical
-// encoding, which is embedded verbatim).
+// Wire format for the Phase II allocation message G_i, the one protocol
+// message run_protocol ships over a transport. Decoding is strict —
+// unknown magic, truncation or trailing bytes are rejected — and
+// round-trips preserve signatures bit-for-bit (each signature covers its
+// claim's canonical encoding, which is embedded verbatim).
 #pragma once
 
 #include "codec/bytes.hpp"
-#include "crypto/signed_claim.hpp"
 #include "protocol/messages.hpp"
 
 namespace dls::protocol {
-
-/// SignedClaim <-> bytes.
-codec::Bytes encode_signed_claim(const crypto::SignedClaim& sc);
-crypto::SignedClaim decode_signed_claim(std::span<const std::uint8_t> data);
-
-/// Phase I bid message <-> bytes.
-codec::Bytes encode_bid_message(const BidMessage& message);
-BidMessage decode_bid_message(std::span<const std::uint8_t> data);
 
 /// Phase II allocation message G_i <-> bytes.
 codec::Bytes encode_allocation_message(const AllocationMessage& message);
 AllocationMessage decode_allocation_message(
     std::span<const std::uint8_t> data);
-
-/// Phase III report message <-> bytes.
-codec::Bytes encode_report_message(const ReportMessage& message);
-ReportMessage decode_report_message(std::span<const std::uint8_t> data);
-
-/// Phase IV payment message <-> bytes.
-codec::Bytes encode_payment_message(const PaymentMessage& message);
-PaymentMessage decode_payment_message(std::span<const std::uint8_t> data);
 
 }  // namespace dls::protocol

@@ -9,24 +9,6 @@
 
 namespace dls::serve {
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPartialWrite:
-      return "partial_write";
-    case FaultKind::kTruncate:
-      return "truncate";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kDelay:
-      return "delay";
-    case FaultKind::kDisconnect:
-      return "disconnect";
-    case FaultKind::kDuplicate:
-      return "duplicate";
-  }
-  return "unknown";
-}
-
 ChaosConfig ChaosConfig::only(FaultKind kind, double p) {
   ChaosConfig config;
   switch (kind) {

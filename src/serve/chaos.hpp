@@ -53,8 +53,6 @@ enum class FaultKind : std::uint8_t {
 
 inline constexpr std::size_t kFaultKindCount = 6;
 
-std::string to_string(FaultKind kind);
-
 /// Per-write / per-read fault probabilities, each in [0, 1] and sampled
 /// independently. kTruncate and kDisconnect end the stream, so at most
 /// one terminal fault fires per write; the others compose.

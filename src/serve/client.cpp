@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "serve/frame.hpp"
 
@@ -20,26 +20,10 @@ void sleep_seconds(double seconds) {
 
 }  // namespace
 
-std::string to_string(RobustOutcome outcome) {
-  switch (outcome) {
-    case RobustOutcome::kAnswered:
-      return "answered";
-    case RobustOutcome::kBudgetExhausted:
-      return "budget_exhausted";
-  }
-  return "unknown";
-}
-
 ScheduleResponse SchedulerClient::schedule(std::span<const double> w,
                                            std::span<const double> z,
                                            const ScheduleOptions& options) {
   return round_trip(w, z, options);
-}
-
-ScheduleResponse SchedulerClient::schedule(const net::LinearNetwork& network,
-                                           const ScheduleOptions& options) {
-  return round_trip(network.processing_times(), network.link_times(),
-                    options);
 }
 
 MultiScheduleResponse SchedulerClient::schedule_multi(
@@ -76,26 +60,6 @@ MultiScheduleResponse SchedulerClient::schedule_multi(
   }
 }
 
-ScheduleResponse SchedulerClient::schedule_with_retry(
-    std::span<const double> w, std::span<const double> z,
-    const ScheduleOptions& options, const protocol::HeartbeatConfig& policy,
-    std::uint64_t jitter_seed) {
-  ScheduleResponse response = round_trip(w, z, options);
-  common::Rng rng(jitter_seed);
-  for (std::size_t attempt = 0;
-       response.status == ScheduleStatus::kShed &&
-       attempt < policy.retry_budget;
-       ++attempt) {
-    const double wait = protocol::exponential_backoff(
-        policy.period, policy.backoff_factor, attempt, policy.max_backoff);
-    // Jitter spreads synchronized retriers: full backoff was lockstep —
-    // every shed client slept the same ladder and collided again.
-    sleep_seconds(wait * rng.uniform(0.5, 1.0));
-    response = round_trip(w, z, options);
-  }
-  return response;
-}
-
 RobustResult SchedulerClient::schedule_robust(std::span<const double> w,
                                               std::span<const double> z,
                                               const ScheduleOptions& options,
@@ -103,20 +67,30 @@ RobustResult SchedulerClient::schedule_robust(std::span<const double> w,
   RobustResult result;
   BackoffSchedule backoff(robust.policy, robust.seed);
   const auto start = std::chrono::steady_clock::now();
-  const auto in_budget = [&] {
-    if (robust.policy.total_deadline_s <= 0.0) return true;
+  const auto budget_left = [&] {
+    if (robust.policy.total_deadline_s <= 0.0) {
+      return std::numeric_limits<double>::infinity();
+    }
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    return elapsed.count() < robust.policy.total_deadline_s;
+    return robust.policy.total_deadline_s - elapsed.count();
   };
 
   for (std::size_t attempt = 0;
-       attempt < robust.policy.max_attempts && in_budget(); ++attempt) {
+       attempt < robust.policy.max_attempts && budget_left() > 0.0;
+       ++attempt) {
+    // Waits `delay` before the next attempt: not at all after the last
+    // one, and never past the total deadline.
+    const auto pause = [&](double delay) {
+      if (attempt + 1 < robust.policy.max_attempts) {
+        sleep_seconds(std::min(delay, budget_left()));
+      }
+    };
     if (robust.breaker != nullptr && !robust.breaker->allow()) {
       // The breaker is open: back off without touching the wire. The
       // attempt still burns budget — an open breaker is not free time.
       ++result.stats.breaker_rejections;
-      sleep_seconds(backoff.next_delay_s());
+      pause(backoff.next_delay_s());
       continue;
     }
     if (end_ == nullptr || !end_->valid()) {
@@ -144,7 +118,7 @@ RobustResult SchedulerClient::schedule_robust(std::span<const double> w,
             result.response.retry_after_us > 0.0) {
           delay = std::max(delay, result.response.retry_after_us * 1e-6);
         }
-        sleep_seconds(delay);
+        pause(delay);
         continue;
       }
       result.outcome = RobustOutcome::kAnswered;
@@ -156,7 +130,7 @@ RobustResult SchedulerClient::schedule_robust(std::span<const double> w,
       DLS_COUNT("serve.client.wire_errors");
       if (robust.breaker != nullptr) robust.breaker->record_failure();
       if (end_ != nullptr) end_->close();
-      sleep_seconds(backoff.next_delay_s());
+      pause(backoff.next_delay_s());
     } catch (const codec::DecodeError& e) {
       // A corrupted response: the bytes are untrustworthy, so the
       // connection is replaced like any other wire failure.
@@ -165,7 +139,7 @@ RobustResult SchedulerClient::schedule_robust(std::span<const double> w,
       DLS_COUNT("serve.client.wire_errors");
       if (robust.breaker != nullptr) robust.breaker->record_failure();
       if (end_ != nullptr) end_->close();
-      sleep_seconds(backoff.next_delay_s());
+      pause(backoff.next_delay_s());
     }
   }
   result.outcome = RobustOutcome::kBudgetExhausted;

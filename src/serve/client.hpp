@@ -2,19 +2,12 @@
 //
 // Wraps one end of a service connection in a synchronous call API:
 // schedule() encodes a ScheduleRequest frame, writes it, and blocks for
-// the matching ScheduleResponse. Three retry flavours layer on top:
-//
-//  * schedule_with_retry — the compatibility path: resends on kShed
-//    with the recovery layer's HeartbeatConfig knobs (exponential
-//    backoff via protocol::exponential_backoff), now jittered with a
-//    seeded multiplier so synchronized clients do not retry in
-//    lockstep;
-//  * schedule_robust — the chaos-hardened path: a RetryPolicy with
-//    decorrelated jitter, per-attempt read deadlines and a total
-//    wall-clock budget, an optional shared CircuitBreaker, and an
-//    optional reconnect hook so a dead transport is replaced instead of
-//    reported. Every call ends in exactly one of {answer, typed
-//    refusal, exhausted-budget report} — never a hang.
+// the matching ScheduleResponse. schedule_robust() retries on top: a
+// RetryPolicy with decorrelated jitter, per-attempt read deadlines and a
+// total wall-clock budget, an optional shared CircuitBreaker, and an
+// optional reconnect hook so a dead transport is replaced instead of
+// reported. Every call ends in exactly one of {answer, typed refusal,
+// exhausted-budget report} — never a hang.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +17,6 @@
 #include <string>
 #include <utility>
 
-#include "net/networks.hpp"
-#include "protocol/recovery.hpp"
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
 #include "serve/retry.hpp"
@@ -39,8 +30,6 @@ enum class RobustOutcome : std::uint8_t {
   kAnswered = 0,         ///< the service answered (any ScheduleStatus)
   kBudgetExhausted = 1,  ///< attempts/deadline ran out first
 };
-
-std::string to_string(RobustOutcome outcome);
 
 /// Wire-level accounting for one schedule_robust call.
 struct RobustStats {
@@ -87,10 +76,6 @@ class SchedulerClient {
                             std::span<const double> z,
                             const ScheduleOptions& options = {});
 
-  /// Convenience flavour over a network description.
-  ScheduleResponse schedule(const net::LinearNetwork& network,
-                            const ScheduleOptions& options = {});
-
   /// One synchronous multi-load round trip: assigns the request id,
   /// writes a kMultiScheduleRequest frame and blocks for the matching
   /// response. The caller fills everything else (chain, loads, policy
@@ -99,21 +84,13 @@ class SchedulerClient {
   MultiScheduleResponse schedule_multi(MultiScheduleRequest request,
                                        double timeout_s = 0.0);
 
-  /// schedule(), resending on kShed with exponential backoff per
-  /// `policy`, each wait scaled by a seeded jitter factor in [0.5, 1)
-  /// so synchronized clients spread apart. Returns the last response
-  /// (still kShed when the budget ran out).
-  ScheduleResponse schedule_with_retry(
-      std::span<const double> w, std::span<const double> z,
-      const ScheduleOptions& options, const protocol::HeartbeatConfig& policy,
-      std::uint64_t jitter_seed = 0x6a69747465726564ull);
-
   /// The chaos-hardened call: retries kShed/kDegraded (honouring the
   /// server's retry-after hint), survives transport and decode failures
   /// by reconnecting, consults the circuit breaker before touching the
   /// wire, and always returns — never hangs, never throws for wire
   /// trouble. Problem-shape errors (kError/kExpired) are answers, not
-  /// retries.
+  /// retries. No wait follows the last attempt, and no wait runs past
+  /// the total deadline.
   RobustResult schedule_robust(std::span<const double> w,
                                std::span<const double> z,
                                const ScheduleOptions& options,

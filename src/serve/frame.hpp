@@ -44,10 +44,10 @@ namespace dls::serve {
 enum class FrameType : std::uint8_t {
   kScheduleRequest = 1,   ///< serve::ScheduleRequest
   kScheduleResponse = 2,  ///< serve::ScheduleResponse
-  kBid = 3,               ///< protocol::BidMessage (Phase I)
-  kAllocation = 4,        ///< protocol::AllocationMessage (Phase II)
-  kReport = 5,            ///< protocol::ReportMessage (Phase III)
-  kPayment = 6,           ///< protocol::PaymentMessage (Phase IV)
+  kBid = 3,               ///< reserved: a Phase I bid
+  kAllocation = 4,        ///< reserved: a Phase II allocation message
+  kReport = 5,            ///< reserved: a Phase III report
+  kPayment = 6,           ///< reserved: a Phase IV payment notice
   kMultiScheduleRequest = 7,   ///< serve::MultiScheduleRequest
   kMultiScheduleResponse = 8,  ///< serve::MultiScheduleResponse
 };

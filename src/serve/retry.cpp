@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/backoff.hpp"
 #include "obs/obs.hpp"
-#include "protocol/recovery.hpp"
 
 namespace dls::serve {
 
@@ -18,25 +18,13 @@ double BackoffSchedule::next_delay_s() {
                 : rng_.uniform(policy_.base_delay_s, hi);
     delay = std::min(delay, policy_.max_delay_s);
   } else {
-    delay = protocol::exponential_backoff(policy_.base_delay_s,
-                                          policy_.backoff_factor, attempt_,
-                                          policy_.max_delay_s);
+    delay = common::exponential_backoff(policy_.base_delay_s,
+                                        policy_.backoff_factor, attempt_,
+                                        policy_.max_delay_s);
   }
   ++attempt_;
   prev_ = delay;
   return delay;
-}
-
-std::string to_string(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
 }
 
 bool CircuitBreaker::allow() {

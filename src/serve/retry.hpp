@@ -1,10 +1,9 @@
 // Unified retry policy and per-connection circuit breaker for the
 // serve layer.
 //
-// RetryPolicy replaces the ad-hoc reuse of protocol::HeartbeatConfig in
-// SchedulerClient with knobs named for what they do: exponential
-// backoff sharing protocol::exponential_backoff as its core, optional
-// decorrelated jitter (each delay drawn uniformly from
+// RetryPolicy gives SchedulerClient knobs named for what they do:
+// exponential backoff sharing common::exponential_backoff as its core,
+// optional decorrelated jitter (each delay drawn uniformly from
 // [base, 3 * previous], capped) so synchronized clients spread out
 // instead of retrying in lockstep, a per-attempt read deadline and a
 // total wall-clock budget.
@@ -80,8 +79,6 @@ enum class BreakerState : std::uint8_t {
   kOpen = 1,      ///< tripped: calls rejected until the cooldown passes
   kHalfOpen = 2,  ///< probing: a bounded number of calls admitted
 };
-
-std::string to_string(BreakerState state);
 
 /// Thread-safe; share one instance across every client of a connection.
 /// Metrics: serve.breaker.{opened,rejected,half_open,closed}.

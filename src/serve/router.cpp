@@ -456,7 +456,7 @@ void ShardRouter::monitor_loop() {
         DLS_COUNT("serve.shard.probes");
         // Same backoff arithmetic the crash monitor uses, so probe
         // cadence is bit-identical for the same knobs.
-        const double wait = protocol::exponential_backoff(
+        const double wait = common::exponential_backoff(
             config_.heartbeat.period, config_.heartbeat.backoff_factor,
             attempt, config_.heartbeat.max_backoff);
         next_probe[shard] = Clock::now() + seconds_of(wait);

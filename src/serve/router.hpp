@@ -23,7 +23,7 @@
 //    actionable refusal wins: kDegraded with the largest retry-after,
 //    else kShed, else the first kError.
 //  * Shard death: forward failures count against the reused
-//    protocol::HeartbeatConfig retry budget; exhausting it marks the
+//    common::HeartbeatConfig retry budget; exhausting it marks the
 //    shard dead (a consistent-hash rebalance — only that arc moves). A
 //    monitor probes dead shards with exponential backoff to revive.
 // Metrics (serve.shard.* / serve.quorum.*): see docs/OBSERVABILITY.md.
@@ -40,8 +40,8 @@
 #include <vector>
 
 #include "codec/bytes.hpp"
+#include "common/backoff.hpp"
 
-#include "protocol/recovery.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
@@ -68,7 +68,7 @@ struct RouterConfig {
   /// layer: retry_budget consecutive forward failures confirm a shard
   /// dead; the monitor re-probes with exponential backoff derived from
   /// period/backoff_factor/max_backoff (seconds here).
-  protocol::HeartbeatConfig heartbeat{
+  common::HeartbeatConfig heartbeat{
       /*period=*/0.02, /*timeout=*/0.02, /*retry_budget=*/3,
       /*backoff_factor=*/2.0, /*max_backoff=*/0.5};
   /// Run the dead-shard revival monitor thread. Off, revival only

@@ -1,8 +1,6 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -11,69 +9,11 @@
 
 namespace dls::sim {
 
-std::string to_string(LinkFaultKind kind) {
-  switch (kind) {
-    case LinkFaultKind::kLoss: return "loss";
-    case LinkFaultKind::kDelay: return "delay";
-    case LinkFaultKind::kCorrupt: return "corrupt";
-  }
-  return "unknown";
-}
-
-std::string to_string(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kCrash: return "crash";
-    case FaultEvent::Kind::kMessageLost: return "message-lost";
-    case FaultEvent::Kind::kMessageDelayed: return "message-delayed";
-    case FaultEvent::Kind::kMessageCorrupted: return "message-corrupted";
-    case FaultEvent::Kind::kDeadDestination: return "dead-destination";
-  }
-  return "unknown";
-}
-
-FaultPlan& FaultPlan::crash_at_time(std::size_t processor, double time) {
-  DLS_REQUIRE(std::isfinite(time) && time >= 0.0,
-              "crash time must be finite and non-negative");
-  crashes_.push_back(CrashSpec{processor, time, -1.0});
-  return *this;
-}
-
 FaultPlan& FaultPlan::crash_at_work(std::size_t processor, double fraction) {
   DLS_REQUIRE(fraction >= 0.0 && fraction < 1.0,
               "crash work fraction must lie in [0, 1)");
-  crashes_.push_back(CrashSpec{processor, -1.0, fraction});
+  crashes_.push_back(CrashSpec{processor, fraction});
   return *this;
-}
-
-FaultPlan& FaultPlan::add_link_fault(LinkFaultSpec spec) {
-  DLS_REQUIRE(spec.link >= 1, "link indices start at 1");
-  DLS_REQUIRE(spec.probability >= 0.0 && spec.probability <= 1.0,
-              "fault probability must lie in [0, 1]");
-  DLS_REQUIRE(spec.delay >= 0.0, "fault delay must be non-negative");
-  link_faults_.push_back(spec);
-  return *this;
-}
-
-FaultPlan& FaultPlan::drop_messages(std::size_t link, double probability) {
-  return add_link_fault({link, LinkFaultKind::kLoss, probability, 0.0});
-}
-
-FaultPlan& FaultPlan::delay_messages(std::size_t link, double delay,
-                                     double probability) {
-  return add_link_fault({link, LinkFaultKind::kDelay, probability, delay});
-}
-
-FaultPlan& FaultPlan::corrupt_messages(std::size_t link, double probability) {
-  return add_link_fault({link, LinkFaultKind::kCorrupt, probability, 0.0});
-}
-
-FaultPlan& FaultPlan::meter_dropout(std::size_t processor) {
-  meter_dropouts_.push_back(processor);
-  return *this;
-}
-
-bool FaultPlan::empty() const noexcept {
-  return crashes_.empty() && link_faults_.empty() && meter_dropouts_.empty();
 }
 
 std::optional<CrashSpec> FaultPlan::crash_of(std::size_t processor) const {
@@ -83,36 +23,16 @@ std::optional<CrashSpec> FaultPlan::crash_of(std::size_t processor) const {
   return std::nullopt;
 }
 
-bool FaultPlan::meter_dropped(std::size_t processor) const {
-  return std::find(meter_dropouts_.begin(), meter_dropouts_.end(),
-                   processor) != meter_dropouts_.end();
-}
-
-std::vector<LinkFaultSpec> FaultPlan::faults_on_link(std::size_t j) const {
-  std::vector<LinkFaultSpec> out;
-  for (const LinkFaultSpec& spec : link_faults_) {
-    if (spec.link == j) out.push_back(spec);
-  }
-  return out;
-}
-
-double FaultPlan::path_loss_probability(std::size_t j) const {
-  double worst = 0.0;
-  for (const LinkFaultSpec& spec : link_faults_) {
-    if (spec.kind == LinkFaultKind::kLoss && spec.link >= 1 &&
-        spec.link <= j) {
-      worst = std::max(worst, spec.probability);
-    }
-  }
-  return worst;
-}
-
 FaultPlan FaultPlan::random_crashes(std::size_t processors,
                                     double crash_probability,
                                     common::Rng& rng) {
   DLS_REQUIRE(crash_probability >= 0.0 && crash_probability <= 1.0,
               "crash probability must lie in [0, 1]");
-  FaultPlan plan(rng.bits());
+  FaultPlan plan;
+  // One draw is skipped before the crash draws: published fault-sweep
+  // tables (bench_fault_sweep) depend on where each plan's draws fall in
+  // the stream.
+  static_cast<void>(rng.bits());
   for (std::size_t i = 1; i < processors; ++i) {
     if (rng.bernoulli(crash_probability)) {
       plan.crash_at_work(i, rng.uniform(0.05, 0.95));
@@ -144,7 +64,6 @@ void sort_events(std::vector<FaultEvent>& events) {
 /// and which event tokens to revoke if the node dies.
 struct NodeState {
   bool dead = false;
-  bool crash_scheduled = false;
 
   bool finish_pending = false;
   EventId finish_event = 0;
@@ -163,7 +82,6 @@ struct FaultyChainState {
   const net::LinearNetwork* network = nullptr;
   const ExecutionPlan* plan = nullptr;
   const FaultPlan* faults = nullptr;
-  common::Rng rng{1};
 
   FaultyExecutionResult result;
   std::vector<NodeState> nodes;
@@ -204,18 +122,10 @@ struct FaultyChainState {
     }
   }
 
-  void on_load_available(Simulator& sim, std::size_t i, double load,
-                         bool payload_corrupted) {
+  void on_load_available(Simulator& sim, std::size_t i, double load) {
     const std::size_t n = network->size();
     NodeState& node = nodes[i];
-    if (node.dead) {
-      result.undelivered += load;
-      result.events.push_back(FaultEvent{FaultEvent::Kind::kDeadDestination,
-                                         sim.now(), i, load});
-      return;
-    }
     result.base.received[i] = load;
-    if (payload_corrupted) result.corrupted[i] = true;
 
     const bool terminal = (i + 1 == n);
     const double retain =
@@ -240,77 +150,36 @@ struct FaultyChainState {
       });
     }
 
-    // A work-fraction crash becomes an absolute instant once the compute
-    // window is known.
-    if (!node.crash_scheduled) {
-      if (const auto spec = faults->crash_of(i);
-          spec && spec->at_work_fraction >= 0.0 && kept > 0.0) {
-        node.crash_scheduled = true;
-        const double until_crash =
-            spec->at_work_fraction * kept * plan->actual_rate[i];
-        sim.schedule_after(until_crash,
-                           [this, i](Simulator& s) { on_crash(s, i); });
-      }
+    // The crash becomes an absolute instant once the compute window is
+    // known.
+    if (const auto spec = faults->crash_of(i); spec && kept > 0.0) {
+      const double until_crash =
+          spec->at_work_fraction * kept * plan->actual_rate[i];
+      sim.schedule_after(until_crash,
+                         [this, i](Simulator& s) { on_crash(s, i); });
     }
 
     if (terminal || forwarded <= 0.0) return;
 
-    // Outbound transfer on link i+1, subject to the link's fault specs.
+    // Outbound transfer on link i+1.
     const std::size_t link = i + 1;
     const double duration = forwarded * network->z(link);
     const Time send_start = sim.now();
     const Time send_end = send_start + duration;
-
-    bool lost = false;
-    bool corrupt_out = payload_corrupted;
-    double extra_delay = 0.0;
-    for (const LinkFaultSpec& spec : faults->faults_on_link(link)) {
-      if (!rng.bernoulli(spec.probability)) continue;
-      switch (spec.kind) {
-        case LinkFaultKind::kLoss:
-          lost = true;
-          break;
-        case LinkFaultKind::kDelay:
-          extra_delay += spec.delay;
-          result.events.push_back(FaultEvent{
-              FaultEvent::Kind::kMessageDelayed, send_end, link, forwarded});
-          break;
-        case LinkFaultKind::kCorrupt:
-          corrupt_out = true;
-          result.events.push_back(FaultEvent{
-              FaultEvent::Kind::kMessageCorrupted, send_end, link,
-              forwarded});
-          break;
-      }
-      if (lost) break;
-    }
-
-    if (lost) {
-      // The wire was occupied for the full window, but nothing usable
-      // came out the far end.
-      result.undelivered += forwarded;
-      result.events.push_back(FaultEvent{FaultEvent::Kind::kMessageLost,
-                                         send_end, link, forwarded});
-      result.base.trace.record(
-          Interval{i, Activity::kSend, send_start, send_end, forwarded});
-      return;
-    }
 
     node.send_start = send_start;
     node.send_amount = forwarded;
     node.send_link = link;
     node.arrival_pending = true;
     node.arrival_event = sim.schedule_after(
-        duration + extra_delay,
-        [this, i, forwarded, send_start, send_end,
-         corrupt_out](Simulator& s) {
+        duration, [this, i, forwarded, send_start, send_end](Simulator& s) {
           NodeState& me = nodes[i];
           me.arrival_pending = false;
           result.base.trace.record(Interval{i, Activity::kSend, send_start,
                                             send_end, forwarded});
           result.base.trace.record(Interval{i + 1, Activity::kReceive,
                                             send_start, send_end, forwarded});
-          on_load_available(s, i + 1, forwarded, corrupt_out);
+          on_load_available(s, i + 1, forwarded);
         });
   }
 };
@@ -330,43 +199,23 @@ FaultyExecutionResult execute_linear_faulty(const net::LinearNetwork& network,
   for (const CrashSpec& spec : faults.crashes()) {
     DLS_REQUIRE(spec.processor < n, "crash processor out of range");
   }
-  for (const LinkFaultSpec& spec : faults.link_faults()) {
-    DLS_REQUIRE(spec.link >= 1 && spec.link < n, "link fault out of range");
-  }
 
   auto state = std::make_unique<FaultyChainState>();
   state->network = &network;
   state->plan = &plan;
   state->faults = &faults;
-  state->rng = common::Rng(faults.seed());
   state->result.base.received.assign(n, 0.0);
   state->result.base.computed.assign(n, 0.0);
   state->result.base.finish_time.assign(n, 0.0);
   state->result.crashed.assign(n, false);
   state->result.crash_time.assign(n, 0.0);
   state->result.unfinished.assign(n, 0.0);
-  state->result.corrupted.assign(n, false);
-  state->result.meter_ok.assign(n, true);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (faults.meter_dropped(i)) state->result.meter_ok[i] = false;
-  }
   state->nodes.assign(n, NodeState{});
 
   Simulator sim;
   FaultyChainState* raw = state.get();
-  // Absolute-time crashes are scheduled up front; work-fraction crashes
-  // resolve when the victim's compute window becomes known.
-  for (const CrashSpec& spec : faults.crashes()) {
-    if (spec.at_time >= 0.0) {
-      raw->nodes[spec.processor].crash_scheduled = true;
-      const std::size_t who = spec.processor;
-      sim.schedule_at(spec.at_time,
-                      [raw, who](Simulator& s) { raw->on_crash(s, who); });
-    }
-  }
-  sim.schedule_at(0.0, [raw](Simulator& s) {
-    raw->on_load_available(s, 0, 1.0, false);
-  });
+  sim.schedule_at(0.0,
+                  [raw](Simulator& s) { raw->on_load_available(s, 0, 1.0); });
   sim.run();
 
   state->result.base.makespan =
@@ -375,171 +224,6 @@ FaultyExecutionResult execute_linear_faulty(const net::LinearNetwork& network,
   sort_events(state->result.events);
   publish_trace(state->result.base.trace);
   return std::move(state->result);
-}
-
-FaultyExecutionResult execute_star_faulty(const net::StarNetwork& network,
-                                          const StarSchedule& schedule,
-                                          const FaultPlan& faults) {
-  const std::size_t m = network.workers();
-  const std::size_t n = m + 1;  // trace indexing: 0 = root
-  DLS_REQUIRE(schedule.root_share >= 0.0, "root share must be >= 0");
-  DLS_REQUIRE(std::abs(schedule.total() - 1.0) <= 1e-9,
-              "schedule must cover exactly the unit load");
-  for (const CrashSpec& spec : faults.crashes()) {
-    DLS_REQUIRE(spec.processor >= 1 && spec.processor < n,
-                "star crashes are limited to workers (indices 1..m)");
-  }
-  for (const LinkFaultSpec& spec : faults.link_faults()) {
-    DLS_REQUIRE(spec.link >= 1 && spec.link < n, "link fault out of range");
-  }
-
-  FaultyExecutionResult result;
-  result.base.received.assign(n, 0.0);
-  result.base.computed.assign(n, 0.0);
-  result.base.finish_time.assign(n, 0.0);
-  result.crashed.assign(n, false);
-  result.crash_time.assign(n, 0.0);
-  result.unfinished.assign(n, 0.0);
-  result.corrupted.assign(n, false);
-  result.meter_ok.assign(n, true);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (faults.meter_dropped(i)) result.meter_ok[i] = false;
-  }
-  common::Rng rng(faults.seed());
-
-  if (schedule.root_share > 0.0) {
-    DLS_REQUIRE(network.root_computes(),
-                "a non-computing root cannot keep a share");
-    const double finish = schedule.root_share * network.root_w();
-    result.base.computed[0] = schedule.root_share;
-    result.base.finish_time[0] = finish;
-    result.base.trace.record(
-        Interval{0, Activity::kCompute, 0.0, finish, schedule.root_share});
-  }
-
-  // Work-fraction crashes trigger once the worker has accumulated the
-  // given fraction of its total assigned compute time.
-  std::vector<double> total_work(m, 0.0);
-  for (const Installment& send : schedule.sends) {
-    total_work[send.worker] += send.chunk * network.w(send.worker);
-  }
-  std::vector<double> crash_budget(m,
-                                   std::numeric_limits<double>::infinity());
-  std::vector<double> crash_at(m, std::numeric_limits<double>::infinity());
-  for (std::size_t w = 0; w < m; ++w) {
-    if (const auto spec = faults.crash_of(w + 1)) {
-      if (spec->at_time >= 0.0) {
-        crash_at[w] = spec->at_time;
-      } else {
-        crash_budget[w] = spec->at_work_fraction * total_work[w];
-      }
-    }
-  }
-
-  double port_clock = 0.0;
-  std::vector<double> busy_until(m, 0.0);
-  std::vector<double> worked(m, 0.0);  // accumulated compute time
-  for (const Installment& send : schedule.sends) {
-    if (send.chunk <= 0.0) continue;
-    const std::size_t w = send.worker;
-    const std::size_t node = w + 1;
-    const std::size_t link = w + 1;
-    const double z = network.z(w);
-    const Time send_start = port_clock;
-    const Time send_end = port_clock + send.chunk * z;
-    port_clock = send_end;  // one-port: the wire is busy regardless
-    result.base.trace.record(
-        Interval{0, Activity::kSend, send_start, send_end, send.chunk});
-
-    bool lost = false;
-    bool corrupt = false;
-    double extra_delay = 0.0;
-    for (const LinkFaultSpec& spec : faults.faults_on_link(link)) {
-      if (!rng.bernoulli(spec.probability)) continue;
-      switch (spec.kind) {
-        case LinkFaultKind::kLoss:
-          lost = true;
-          break;
-        case LinkFaultKind::kDelay:
-          extra_delay += spec.delay;
-          result.events.push_back(FaultEvent{
-              FaultEvent::Kind::kMessageDelayed, send_end, link, send.chunk});
-          break;
-        case LinkFaultKind::kCorrupt:
-          corrupt = true;
-          result.events.push_back(FaultEvent{
-              FaultEvent::Kind::kMessageCorrupted, send_end, link,
-              send.chunk});
-          break;
-      }
-      if (lost) break;
-    }
-    if (lost) {
-      result.undelivered += send.chunk;
-      result.events.push_back(
-          FaultEvent{FaultEvent::Kind::kMessageLost, send_end, link,
-                     send.chunk});
-      continue;
-    }
-    const Time arrive = send_end + extra_delay;
-    result.base.trace.record(
-        Interval{node, Activity::kReceive, send_start, send_end, send.chunk});
-
-    // An absolute-time crash may pre-date this arrival.
-    if (!result.crashed[node] && crash_at[w] <= arrive) {
-      result.crashed[node] = true;
-      result.crash_time[node] = crash_at[w];
-      result.events.push_back(
-          FaultEvent{FaultEvent::Kind::kCrash, crash_at[w], node, 0.0});
-    }
-    if (result.crashed[node]) {
-      result.undelivered += send.chunk;
-      result.events.push_back(FaultEvent{FaultEvent::Kind::kDeadDestination,
-                                         arrive, node, send.chunk});
-      continue;
-    }
-    result.base.received[node] += send.chunk;
-    if (corrupt) result.corrupted[node] = true;
-
-    const double start = std::max(arrive, busy_until[w]);
-    const double duration = send.chunk * network.w(w);
-    // The crash cuts the chunk short when either trigger fires inside
-    // the compute window.
-    double crash_instant = std::numeric_limits<double>::infinity();
-    if (crash_at[w] > start && crash_at[w] < start + duration) {
-      crash_instant = crash_at[w];
-    }
-    const double budget_left = crash_budget[w] - worked[w];
-    if (budget_left < duration) {
-      crash_instant = std::min(crash_instant, start + budget_left);
-    }
-    if (crash_instant < start + duration) {
-      const double partial = send.chunk * (crash_instant - start) / duration;
-      result.base.computed[node] += partial;
-      result.unfinished[node] += send.chunk - partial;
-      worked[w] += crash_instant - start;
-      result.base.trace.record(Interval{node, Activity::kCompute, start,
-                                        crash_instant, partial});
-      result.crashed[node] = true;
-      result.crash_time[node] = crash_instant;
-      result.events.push_back(
-          FaultEvent{FaultEvent::Kind::kCrash, crash_instant, node, 0.0});
-      crash_at[w] = crash_instant;  // later chunks hit the dead branch
-      continue;
-    }
-    result.base.trace.record(
-        Interval{node, Activity::kCompute, start, start + duration,
-                 send.chunk});
-    busy_until[w] = start + duration;
-    worked[w] += duration;
-    result.base.computed[node] += send.chunk;
-    result.base.finish_time[node] = busy_until[w];
-  }
-
-  result.base.makespan = *std::max_element(result.base.finish_time.begin(),
-                                           result.base.finish_time.end());
-  sort_events(result.events);
-  return result;
 }
 
 }  // namespace dls::sim

@@ -1,21 +1,15 @@
 // Deterministic fault injection for the execution models.
 //
-// A FaultPlan scripts a chaos scenario against one Phase III run:
-//   * processor crashes — at an absolute simulation time or when the
-//     node has completed a given fraction of its own compute work;
-//   * link faults — per-message loss, extra delay, or payload
-//     corruption on a named link, each with a seeded probability;
-//   * meter dropouts — the tamper-proof meter of a processor yields no
-//     reading this round (the protocol falls back to the declared rate).
-//
-// Everything is deterministic: probabilistic faults draw from a
-// common::Rng seeded by the plan, so a (network, plan, seed) triple
-// replays bit-identically. The faulty executors lean on the simulator's
+// A FaultPlan scripts processor crashes against one Phase III run: a
+// node dies once it has completed a given fraction of its own compute
+// work. Everything is deterministic: FaultPlan::random_crashes draws
+// from the caller's common::Rng, so a (network, plan) pair replays
+// bit-identically. The faulty executor leans on the simulator's
 // cancellable event handles — a crash revokes the node's pending compute
 // completion and in-flight outbound transfer, exactly like a real
 // process dying mid-send.
 //
-// The faulty executors return a superset of the fail-free results so the
+// The faulty executor returns a superset of the fail-free results so the
 // protocol layer can settle the round: who died when, how much verified
 // work they finished, and how much load was lost in flight (the amount
 // the recovery pass must redistribute).
@@ -28,81 +22,37 @@
 
 #include "common/rng.hpp"
 #include "sim/linear_execution.hpp"
-#include "sim/star_execution.hpp"
 
 namespace dls::sim {
 
-enum class LinkFaultKind : std::uint8_t {
-  kLoss,     ///< the message never arrives
-  kDelay,    ///< the message arrives `delay` time units late
-  kCorrupt,  ///< the message arrives on time but its payload is garbage
-};
-
-std::string to_string(LinkFaultKind kind);
-
-/// A crash of one processor. Exactly one trigger is set: `at_time` >= 0
-/// kills the node at that absolute instant; otherwise `at_work_fraction`
-/// in [0, 1) kills it once it has computed that share of its own load.
-/// A work-fraction crash on a node that never receives load never fires.
+/// A crash of one processor once it has computed `at_work_fraction` in
+/// [0, 1) of its own load. A crash on a node that never receives load
+/// never fires.
 struct CrashSpec {
   std::size_t processor = 0;
-  double at_time = -1.0;
   double at_work_fraction = -1.0;
-};
-
-/// A probabilistic per-message fault on link l_j (P_{j-1} -> P_j).
-struct LinkFaultSpec {
-  std::size_t link = 0;  ///< j >= 1
-  LinkFaultKind kind = LinkFaultKind::kLoss;
-  double probability = 1.0;  ///< applied independently per message
-  double delay = 0.0;        ///< extra time units (kDelay only)
 };
 
 /// One fault that actually fired, for the forensic log.
 struct FaultEvent {
   enum class Kind : std::uint8_t {
-    kCrash,             ///< a processor died
-    kMessageLost,       ///< a transfer was dropped (link fault or dead sender)
-    kMessageDelayed,    ///< a transfer arrived late
-    kMessageCorrupted,  ///< a transfer arrived with a garbage payload
-    kDeadDestination,   ///< a transfer completed into a dead processor
+    kCrash,        ///< a processor died
+    kMessageLost,  ///< a dead sender's transfer was cut off
   };
   Kind kind{};
   Time time = 0.0;
-  std::size_t subject = 0;  ///< processor (crash) or link index (others)
+  std::size_t subject = 0;  ///< processor (crash) or link index (loss)
   double amount = 0.0;      ///< load units involved (0 when n/a)
 };
-
-std::string to_string(FaultEvent::Kind kind);
 
 /// The full chaos script for one execution.
 class FaultPlan {
  public:
-  FaultPlan() = default;
-  explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
-
-  FaultPlan& crash_at_time(std::size_t processor, double time);
   FaultPlan& crash_at_work(std::size_t processor, double fraction);
-  FaultPlan& add_link_fault(LinkFaultSpec spec);
-  FaultPlan& drop_messages(std::size_t link, double probability);
-  FaultPlan& delay_messages(std::size_t link, double delay,
-                            double probability = 1.0);
-  FaultPlan& corrupt_messages(std::size_t link, double probability = 1.0);
-  FaultPlan& meter_dropout(std::size_t processor);
 
-  bool empty() const noexcept;
-  std::uint64_t seed() const noexcept { return seed_; }
+  bool empty() const noexcept { return crashes_.empty(); }
   const std::vector<CrashSpec>& crashes() const noexcept { return crashes_; }
-  const std::vector<LinkFaultSpec>& link_faults() const noexcept {
-    return link_faults_;
-  }
   std::optional<CrashSpec> crash_of(std::size_t processor) const;
-  bool meter_dropped(std::size_t processor) const;
-  /// Link faults targeting link `j`, in insertion order.
-  std::vector<LinkFaultSpec> faults_on_link(std::size_t j) const;
-  /// Max loss probability over links 1..j — the chance an unreplicated
-  /// message from P_j toward the root dies somewhere along the path.
-  double path_loss_probability(std::size_t j) const;
 
   /// Chaos generator: each non-root processor of an (m+1)-chain crashes
   /// independently with `crash_probability`, at a work fraction drawn
@@ -112,10 +62,7 @@ class FaultPlan {
                                   common::Rng& rng);
 
  private:
-  std::uint64_t seed_ = 0x5eedfau;
   std::vector<CrashSpec> crashes_;
-  std::vector<LinkFaultSpec> link_faults_;
-  std::vector<std::size_t> meter_dropouts_;
 };
 
 /// Fail-free results plus the fault forensics.
@@ -125,9 +72,7 @@ struct FaultyExecutionResult {
   std::vector<bool> crashed;      ///< per processor
   std::vector<Time> crash_time;   ///< 0.0 when the processor survived
   std::vector<double> unfinished; ///< load retained but never computed
-  std::vector<bool> corrupted;    ///< payload arrived corrupted at P_i
-  std::vector<bool> meter_ok;     ///< false on a meter dropout
-  double undelivered = 0.0;       ///< load lost in transit / at dead nodes
+  double undelivered = 0.0;       ///< load cut off in transit
   std::vector<FaultEvent> events; ///< time-ordered fault log
 
   bool any_crash() const noexcept;
@@ -141,13 +86,5 @@ struct FaultyExecutionResult {
 FaultyExecutionResult execute_linear_faulty(const net::LinearNetwork& network,
                                             const ExecutionPlan& plan,
                                             const FaultPlan& faults);
-
-/// Star-network variant: `crashed`/`crash_time`/... are indexed like the
-/// star trace (0 = root, worker i at index i+1). Only worker crashes are
-/// supported (the root is the trusted dispatcher); link index j means
-/// the dedicated root->worker_{j-1} link.
-FaultyExecutionResult execute_star_faulty(const net::StarNetwork& network,
-                                          const StarSchedule& schedule,
-                                          const FaultPlan& faults);
 
 }  // namespace dls::sim

@@ -48,12 +48,4 @@ Time Simulator::run_until(Time horizon) {
   return now_;
 }
 
-std::size_t Simulator::drop_pending() {
-  const std::size_t live = pending();
-  while (!queue_.empty()) queue_.pop();
-  cancelled_.clear();
-  pending_ids_.clear();
-  return live;
-}
-
 }  // namespace dls::sim

@@ -56,14 +56,8 @@ class Simulator {
 
   /// Runs until the queue drains or `horizon` is reached. CAUTION:
   /// events scheduled beyond the horizon are NOT discarded — they stay
-  /// queued and will fire on the next run()/run_until() call. Call
-  /// drop_pending() after run_until() to abandon them explicitly.
+  /// queued and will fire on the next run()/run_until() call.
   Time run_until(Time horizon);
-
-  /// Discards every still-pending event (cancelled ones excluded from
-  /// the count). Returns how many live events were dropped. Pending
-  /// tokens become invalid.
-  std::size_t drop_pending();
 
   /// Number of live (not cancelled) events still queued.
   std::size_t pending() const noexcept { return pending_ids_.size(); }

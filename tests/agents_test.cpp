@@ -86,26 +86,4 @@ TEST(Population, RejectsBadConstruction) {
                dls::PreconditionError);  // positive rates
 }
 
-TEST(Population, BidAndRateVectorsFollowBehaviors) {
-  Population pop({StrategicAgent{1, 1.0, Behavior::overbid(2.0)},
-                  StrategicAgent{2, 2.0, Behavior::slow_execution(1.5)}});
-  const auto bids = pop.bids();
-  const auto rates = pop.actual_rates();
-  EXPECT_DOUBLE_EQ(bids[0], 2.0);
-  EXPECT_DOUBLE_EQ(bids[1], 2.0);  // truthful bid despite slow execution
-  EXPECT_DOUBLE_EQ(rates[0], 1.0);
-  EXPECT_DOUBLE_EQ(rates[1], 3.0);
-}
-
-TEST(Population, RandomTruthfulStaysInRange) {
-  Rng rng(5);
-  const Population pop = Population::random_truthful(20, rng, 0.5, 5.0);
-  EXPECT_EQ(pop.size(), 20u);
-  for (const auto& agent : pop.all()) {
-    EXPECT_GE(agent.true_rate, 0.5);
-    EXPECT_LE(agent.true_rate, 5.0);
-    EXPECT_TRUE(agent.behavior.follows_algorithm());
-  }
-}
-
 }  // namespace

@@ -54,14 +54,6 @@ TEST(Rng, UniformIntCoversInclusiveRange) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, NormalMomentsRoughlyCorrect) {
-  Rng rng(11);
-  OnlineStats acc;
-  for (int i = 0; i < 50000; ++i) acc.add(rng.normal(2.0, 3.0));
-  EXPECT_NEAR(acc.mean(), 2.0, 0.1);
-  EXPECT_NEAR(acc.stddev(), 3.0, 0.1);
-}
-
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng rng(13);
   OnlineStats acc;
@@ -85,17 +77,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / 20000.0, 0.3, 0.02);
 }
 
-TEST(Rng, SpawnedStreamsAreDecorrelated) {
-  Rng parent(23);
-  Rng a = parent.spawn(0);
-  Rng b = parent.spawn(1);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.bits() == b.bits()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(29);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};
@@ -114,45 +95,22 @@ TEST(Rng, RejectsBadArguments) {
   EXPECT_THROW(rng.bernoulli(1.5), dls::PreconditionError);
 }
 
-TEST(Rng, LongJumpDecorrelates) {
-  Xoshiro256 a(5), b(5);
-  b.long_jump();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a() == b()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
-TEST(OnlineStats, MatchesBatchSummary) {
+TEST(OnlineStats, MatchesBatchCountMeanMinMax) {
   Rng rng(31);
-  std::vector<double> xs;
   OnlineStats acc;
+  double sum = 0.0, lo = 0.0, hi = 0.0;
   for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    xs.push_back(x);
+    const double x = rng.uniform(-3.0, 3.0);
+    lo = i == 0 ? x : std::min(lo, x);
+    hi = i == 0 ? x : std::max(hi, x);
+    sum += x;
     acc.add(x);
   }
-  const Summary batch = summarize(xs);
-  EXPECT_EQ(acc.count(), batch.count);
-  EXPECT_NEAR(acc.mean(), batch.mean, 1e-12);
-  EXPECT_NEAR(acc.stddev(), batch.stddev, 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), batch.min);
-  EXPECT_DOUBLE_EQ(acc.max(), batch.max);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  Rng rng(37);
-  OnlineStats whole, left, right;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-5, 5);
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
+  EXPECT_EQ(acc.count(), 1000u);
+  EXPECT_NEAR(acc.mean(), sum / 1000.0, 1e-12);
+  EXPECT_DOUBLE_EQ(acc.sum(), sum);
+  EXPECT_DOUBLE_EQ(acc.min(), lo);
+  EXPECT_DOUBLE_EQ(acc.max(), hi);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -162,18 +120,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 25), 2.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 12.5), 1.5);
-}
-
-TEST(Stats, LinearFitRecoversLine) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 + 2.0 * i);
-  }
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
 }
 
 TEST(Stats, ArgmaxFindsFirstMaximum) {

@@ -12,7 +12,6 @@
 namespace {
 
 using dls::common::Rng;
-using dls::core::cost_plus_utility_under_bid;
 using dls::core::makespan_without;
 using dls::core::paper_vcg_utility_under_bid;
 using dls::net::LinearNetwork;
@@ -63,24 +62,11 @@ TEST(PaperVcg, ContrastWithDlsLbl) {
             dls::core::utility_under_bid(net, 2, t, t, config));
 }
 
-TEST(CostPlus, UtilityIsTheFeeNoMatterWhat) {
-  const LinearNetwork net({1.0, 1.2, 0.8}, {0.2, 0.2});
-  for (const double bid_f : {0.3, 1.0, 2.5}) {
-    for (const double run_f : {1.0, 1.7}) {
-      EXPECT_DOUBLE_EQ(
-          cost_plus_utility_under_bid(net, 1, 1.2 * bid_f, 1.2 * run_f, 0.4),
-          0.4);
-    }
-  }
-}
-
 TEST(AltPayments, ValidateArguments) {
   const LinearNetwork net({1.0, 1.2}, {0.2});
   EXPECT_THROW(paper_vcg_utility_under_bid(net, 0, 1.0, 1.0),
                dls::PreconditionError);
   EXPECT_THROW(paper_vcg_utility_under_bid(net, 1, -1.0, 1.2),
-               dls::PreconditionError);
-  EXPECT_THROW(cost_plus_utility_under_bid(net, 1, 1.0, 0.5, 0.1),
                dls::PreconditionError);
 }
 

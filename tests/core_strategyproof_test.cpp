@@ -23,7 +23,6 @@ using dls::analysis::utility_vs_bid;
 using dls::analysis::utility_vs_speed;
 using dls::common::Rng;
 using dls::core::MechanismConfig;
-using dls::core::star_utility_under_bid;
 using dls::core::utility_under_bid;
 using dls::net::LinearNetwork;
 using dls::net::StarNetwork;
@@ -145,6 +144,26 @@ TEST_P(Strategyproofness, TruthfulUtilityEqualsBonusIdentity) {
         net.w(j - 1) - result.solution.equivalent_w[j - 1];
     EXPECT_NEAR(result.processors[j].money.utility, expected, 1e-9);
   }
+}
+
+// Worker `index` of the star bids `bid` and executes at `actual_rate`
+// while everyone else is truthful; returns its utility under
+// assess_dls_star.
+double star_utility_under_bid(const StarNetwork& true_network,
+                              std::size_t index, double bid,
+                              double actual_rate,
+                              const MechanismConfig& config) {
+  std::vector<double> w, z, actual;
+  for (std::size_t i = 0; i < true_network.workers(); ++i) {
+    w.push_back(i == index ? bid : true_network.w(i));
+    z.push_back(true_network.z(i));
+    actual.push_back(i == index ? actual_rate : true_network.w(i));
+  }
+  const StarNetwork bid_network(true_network.root_w(), std::move(w),
+                                std::move(z));
+  return dls::core::assess_dls_star(bid_network, actual, config)
+      .workers[index]
+      .utility;
 }
 
 TEST_P(Strategyproofness, StarMechanismTruthDominates) {

@@ -135,7 +135,7 @@ TEST(ThreadPool, SweepsAreBitIdenticalAtAnyWorkerCount) {
         kCount,
         [&](std::size_t i) {
           dls::common::Rng rng(42 + i);
-          out[i] = rng.uniform(0.0, 1.0) + rng.normal();
+          out[i] = rng.uniform(0.0, 1.0) + rng.exponential(1.0);
         },
         ForOptions{.grain = grain, .max_workers = max_workers});
     return out;

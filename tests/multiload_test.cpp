@@ -18,7 +18,6 @@
 #include "multiload/payments.hpp"
 #include "multiload/solver.hpp"
 #include "net/networks.hpp"
-#include "payment/ledger.hpp"
 #include "sim/multiload_execution.hpp"
 
 namespace {
@@ -26,7 +25,6 @@ namespace {
 namespace check = dls::check;
 using dls::common::Rng;
 using dls::core::assess_compliant;
-using dls::core::CounterfactualMechanism;
 using dls::core::DlsLblResult;
 using dls::core::MechanismConfig;
 using dls::dlt::solve_linear_boundary;
@@ -37,12 +35,9 @@ using dls::multiload::installment_size;
 using dls::multiload::LoadSpec;
 using dls::multiload::MultiLoadAssessment;
 using dls::multiload::MultiLoadConfig;
-using dls::multiload::MultiLoadMechanism;
 using dls::multiload::MultiLoadSchedule;
 using dls::multiload::MultiLoadSolver;
-using dls::multiload::post_to_ledger;
 using dls::net::LinearNetwork;
-using dls::payment::Ledger;
 
 LinearNetwork test_chain() {
   return LinearNetwork({1.0, 1.2, 0.9, 1.1}, {0.15, 0.1, 0.2});
@@ -299,41 +294,6 @@ TEST(MultiLoadPayments, ScaleLinearlyExceptFlatBonus) {
   }
 }
 
-TEST(MultiLoadPayments, LedgerConservesAcrossLoads) {
-  const LinearNetwork network = test_chain();
-  MechanismConfig mechanism;
-  mechanism.solution_bonus_enabled = true;
-  const std::vector<LoadSpec> loads = {{1, 0.5}, {2, 2.0}, {3, 1.0}};
-  const MultiLoadAssessment assessment =
-      assess_loads(network, network.processing_times(), loads, mechanism);
-  Ledger ledger;
-  post_to_ledger(ledger, assessment, /*first_account=*/100);
-  EXPECT_NEAR(ledger.conservation_residual(), 0.0, 1e-12);
-  EXPECT_NEAR(ledger.mechanism_outlay(), assessment.mechanism_cost, 1e-9);
-  // Each strategic processor's account holds its per-load payments.
-  for (std::size_t j = 1; j < network.size(); ++j) {
-    double expect = 0.0;
-    for (const auto& load : assessment.loads) expect += load.payment[j];
-    EXPECT_NEAR(ledger.balance(100 + static_cast<dls::payment::AccountId>(j)),
-                expect, 1e-9);
-  }
-}
-
-TEST(MultiLoadMechanism, MatchesCounterfactualMechanismAtUnitSize) {
-  const LinearNetwork network = test_chain();
-  const MechanismConfig mechanism;
-  CounterfactualMechanism reference(network, network.processing_times(),
-                                    mechanism);
-  MultiLoadMechanism scaled(network, network.processing_times(), mechanism);
-  for (std::size_t j = 1; j < network.size(); ++j) {
-    for (const double bid : {0.8, 1.0, 1.3}) {
-      const double w = network.w(j) * bid;
-      EXPECT_EQ(scaled.utility(j, w, network.w(j), 1.0),
-                reference.utility(j, w, network.w(j)));
-    }
-  }
-}
-
 TEST(MultiLoadTrace, LanesHonorOnePortAndConserveLoad) {
   const LinearNetwork network = test_chain();
   const std::vector<LoadSpec> loads = {
@@ -388,26 +348,6 @@ TEST(MultiLoadTrace, GanttRendersOneTitledLanePerLoad) {
   const std::string out = os.str();
   EXPECT_NE(out.find("load 7"), std::string::npos) << out;
   EXPECT_NE(out.find("load 9"), std::string::npos) << out;
-}
-
-TEST(MultiLoadMechanism, TruthfulBidDominatesPerLoad) {
-  const LinearNetwork network = test_chain();
-  const MechanismConfig mechanism;
-  MultiLoadMechanism scaled(network, network.processing_times(), mechanism);
-  for (const double size : {0.5, 1.0, 2.5}) {
-    for (std::size_t j = 1; j < network.size(); ++j) {
-      const double truthful =
-          scaled.utility(j, network.w(j), network.w(j), size);
-      std::vector<double> bids;
-      for (double f = 0.6; f <= 1.8; f += 0.1) bids.push_back(network.w(j) * f);
-      std::vector<double> utilities(bids.size());
-      scaled.utility_curve(j, bids, size, utilities);
-      for (std::size_t k = 0; k < bids.size(); ++k) {
-        EXPECT_LE(utilities[k], truthful + 1e-9)
-            << "size " << size << " P" << j << " bid " << bids[k];
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST_P(ObsReplayTest, FaultyProtocolRunReplaysIdentically) {
   options.seed = 99;
 
   FaultToleranceOptions ft;
-  dls::sim::FaultPlan faults(/*seed=*/7);
+  dls::sim::FaultPlan faults;
   // Crash the last worker partway through its share; with m == 1 the
   // sole worker is the victim.
   faults.crash_at_work(m, 0.5);
@@ -153,7 +153,7 @@ TEST_P(ObsReplayTest, FaultFreeAndFaultyTracesDiffer) {
   options.seed = 5;
 
   FaultToleranceOptions ft;
-  dls::sim::FaultPlan faults(/*seed=*/3);
+  dls::sim::FaultPlan faults;
   faults.crash_at_work(m, 0.25);
   ft.faults = faults;
 

@@ -262,24 +262,6 @@ TEST_F(ObsTest, StreamingChromeTraceDestructorClosesTheJson) {
   EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
 }
 
-TEST_F(ObsTest, JsonlExportOneLinePerEvent) {
-  {
-    Span a("a");
-  }
-  {
-    Span b("b");
-  }
-  const std::vector<SpanEvent> events = TraceSink::global().drain();
-  std::ostringstream out;
-  dls::obs::write_jsonl(out, events);
-  const std::string text = out.str();
-  std::size_t lines = 0;
-  for (const char c : text) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(text.find("\"name\":\"a\""), std::string::npos);
-  EXPECT_NE(text.find("\"start_ns\":"), std::string::npos);
-}
-
 TEST_F(ObsTest, SummaryTableAggregatesPerName) {
   for (int i = 0; i < 3; ++i) {
     Span s("repeat");

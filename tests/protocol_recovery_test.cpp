@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "net/networks.hpp"
 #include "protocol/recovery.hpp"
 #include "sim/faults.hpp"
@@ -22,13 +21,12 @@ namespace {
 using dls::agents::Behavior;
 using dls::agents::Population;
 using dls::agents::StrategicAgent;
-using dls::common::Rng;
+using dls::common::HeartbeatConfig;
 using dls::net::LinearNetwork;
 using dls::protocol::classify_under_computation;
 using dls::protocol::DetectionReport;
 using dls::protocol::FaultToleranceOptions;
 using dls::protocol::FtRunReport;
-using dls::protocol::HeartbeatConfig;
 using dls::protocol::Incident;
 using dls::protocol::monitor_processor;
 using dls::protocol::ProtocolOptions;
@@ -63,11 +61,10 @@ FtRunReport run_ft(const FaultPlan& faults,
 // ---------------------------------------------------------------------------
 // Heartbeat / probe monitoring (timeouts, retries, backoff).
 
-TEST(MonitorProcessor, LiveWorkerOnCleanLinkIsNeverSuspected) {
-  const DetectionReport report = monitor_processor(
-      HeartbeatConfig{}, std::nullopt, 0.0, /*horizon=*/3.0, Rng(1));
+TEST(MonitorProcessor, LiveWorkerIsNeverSuspected) {
+  const DetectionReport report =
+      monitor_processor(HeartbeatConfig{}, std::nullopt, /*horizon=*/3.0);
   EXPECT_FALSE(report.confirmed_dead);
-  EXPECT_FALSE(report.false_alarm);
   EXPECT_EQ(report.probes_sent, 0u);
   EXPECT_EQ(report.timeouts, 0u);
 }
@@ -75,9 +72,8 @@ TEST(MonitorProcessor, LiveWorkerOnCleanLinkIsNeverSuspected) {
 TEST(MonitorProcessor, CrashIsConfirmedAfterTheRetryBudget) {
   HeartbeatConfig cfg;
   const DetectionReport report =
-      monitor_processor(cfg, /*crash_time=*/1.0, 0.0, 3.0, Rng(2));
+      monitor_processor(cfg, /*crash_time=*/1.0, 3.0);
   EXPECT_TRUE(report.confirmed_dead);
-  EXPECT_FALSE(report.false_alarm);
   EXPECT_EQ(report.probes_sent, cfg.retry_budget);
   EXPECT_GT(report.confirmed_at, 1.0);
   EXPECT_GT(report.latency(), 0.0);
@@ -92,35 +88,9 @@ TEST(MonitorProcessor, CrashIsConfirmedAfterTheRetryBudget) {
   EXPECT_LE(report.latency(), ladder + cfg.period + 1e-9);
 }
 
-TEST(MonitorProcessor, LossyLinkCausesRetriesButNoFalseAlarm) {
-  // 20% loss on every beat/probe/reply: the retry machinery must absorb
-  // the misses without declaring a live worker dead (budget 3 would
-  // need three consecutive losses exactly when a deadline expired).
-  HeartbeatConfig cfg;
-  cfg.retry_budget = 5;
-  std::size_t timeouts = 0;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const DetectionReport report =
-        monitor_processor(cfg, std::nullopt, 0.2, 5.0, Rng(seed));
-    EXPECT_FALSE(report.confirmed_dead) << "seed " << seed;
-    timeouts += report.timeouts;
-  }
-  EXPECT_GT(timeouts, 0u);  // losses did trigger the probe path
-}
-
-TEST(MonitorProcessor, CrashOnLossyLinkIsStillConfirmed) {
-  const DetectionReport report =
-      monitor_processor(HeartbeatConfig{}, /*crash_time=*/0.7, 0.3, 5.0,
-                        Rng(77));
-  EXPECT_TRUE(report.confirmed_dead);
-  EXPECT_GT(report.latency(), 0.0);
-}
-
-TEST(MonitorProcessor, SameSeedReplaysIdentically) {
-  const DetectionReport a =
-      monitor_processor(HeartbeatConfig{}, 1.3, 0.25, 6.0, Rng(5));
-  const DetectionReport b =
-      monitor_processor(HeartbeatConfig{}, 1.3, 0.25, 6.0, Rng(5));
+TEST(MonitorProcessor, SameInputsReplayIdentically) {
+  const DetectionReport a = monitor_processor(HeartbeatConfig{}, 1.3, 6.0);
+  const DetectionReport b = monitor_processor(HeartbeatConfig{}, 1.3, 6.0);
   EXPECT_EQ(a.confirmed_dead, b.confirmed_dead);
   EXPECT_DOUBLE_EQ(a.confirmed_at, b.confirmed_at);
   EXPECT_EQ(a.probes_sent, b.probes_sent);
@@ -130,11 +100,8 @@ TEST(MonitorProcessor, SameSeedReplaysIdentically) {
 TEST(MonitorProcessor, ValidatesConfig) {
   HeartbeatConfig bad;
   bad.retry_budget = 0;
-  EXPECT_THROW(monitor_processor(bad, std::nullopt, 0.0, 1.0, Rng(1)),
+  EXPECT_THROW(monitor_processor(bad, std::nullopt, 1.0),
                dls::PreconditionError);
-  EXPECT_THROW(
-      monitor_processor(HeartbeatConfig{}, std::nullopt, 1.0, 1.0, Rng(1)),
-      dls::PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +150,7 @@ TEST(RunProtocolFt, EmptyPlanMatchesThePlainProtocol) {
 }
 
 TEST(RunProtocolFt, RejectsRootCrash) {
-  EXPECT_THROW(run_ft(FaultPlan{}.crash_at_time(0, 1.0)),
+  EXPECT_THROW(run_ft(FaultPlan{}.crash_at_work(0, 0.5)),
                dls::PreconditionError);
 }
 
@@ -266,9 +233,10 @@ TEST(RunProtocolFt, DoubleCrashStillRecovers) {
 }
 
 TEST(RunProtocolFt, ImmediateCrashOfTheFirstWorkerLeavesTheRootAlone) {
-  // P1 dies instantly: nothing can be relayed, the root re-solves over
-  // the single-processor prefix and computes the entire residual.
-  const FtRunReport ft = run_ft(FaultPlan{}.crash_at_time(1, 0.0));
+  // P1 dies the moment its load arrives: nothing can be relayed, the
+  // root re-solves over the single-processor prefix and computes the
+  // entire residual.
+  const FtRunReport ft = run_ft(FaultPlan{}.crash_at_work(1, 0.0));
   EXPECT_TRUE(ft.recovered);
   double covered = 0.0;
   for (const auto& p : ft.round.processors) covered += p.computed;
@@ -304,19 +272,8 @@ TEST(RunProtocolFt, SheddingIsStillFinedUnderAnActiveFaultPlan) {
   EXPECT_NEAR(ft.round.ledger.conservation_residual(), 0.0, 1e-9);
 }
 
-TEST(RunProtocolFt, MeterDropoutFallsBackToTheDeclaredRate) {
-  const LinearNetwork net = test_network();
-  const FtRunReport ft = run_ft(FaultPlan{}.meter_dropout(3));
-  // Truthful agents: the declared rate equals the true rate, so the
-  // dropout changes nothing about the assessment.
-  EXPECT_NEAR(ft.round.processors[3].actual_rate, net.w(3), 1e-12);
-  EXPECT_TRUE(ft.recovered);
-  EXPECT_NEAR(ft.round.ledger.conservation_residual(), 0.0, 1e-9);
-}
-
 TEST(RunProtocolFt, SameSeedRunsReplayBitIdentically) {
-  const FaultPlan plan =
-      FaultPlan{42}.crash_at_work(3, 0.4).drop_messages(5, 0.3);
+  const FaultPlan plan = FaultPlan{}.crash_at_work(3, 0.4);
   const FtRunReport a = run_ft(plan);
   const FtRunReport b = run_ft(plan);
   ASSERT_TRUE(a.round.execution.has_value());

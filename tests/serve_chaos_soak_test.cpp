@@ -133,7 +133,7 @@ std::vector<Scenario> scenarios() {
   for (std::size_t k = 0; k < dls::serve::kFaultKindCount; ++k) {
     const auto kind = static_cast<FaultKind>(k);
     Scenario s;
-    s.name = to_string(kind);
+    s.name = "fault kind " + std::to_string(k);
     s.config = ChaosConfig::only(kind, 0.3);
     s.config.max_delay_us = 100.0;
     out.push_back(std::move(s));

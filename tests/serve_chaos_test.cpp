@@ -12,7 +12,7 @@
 
 #include "codec/bytes.hpp"
 #include "common/rng.hpp"
-#include "protocol/recovery.hpp"
+#include "common/backoff.hpp"
 #include "serve/chaos.hpp"
 #include "serve/frame.hpp"
 #include "serve/pipe.hpp"
@@ -127,9 +127,10 @@ TEST(ChaosTransportTest, PartialWriteAndDelayPreserveBytes) {
     ChaosTransport chaotic(std::move(pipe.a), config, 7);
     dls::serve::write_frame(chaotic, test_frame());
     const auto got = dls::serve::read_frame(pipe.b);
-    ASSERT_TRUE(got.has_value()) << to_string(kind);
-    EXPECT_EQ(got->payload, test_frame().payload) << to_string(kind);
-    EXPECT_GE(chaotic.stats().count(kind), 1u) << to_string(kind);
+    SCOPED_TRACE("fault kind " + std::to_string(static_cast<int>(kind)));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->payload, test_frame().payload);
+    EXPECT_GE(chaotic.stats().count(kind), 1u);
   }
 }
 
@@ -264,8 +265,8 @@ TEST(RetryPolicyTest, DeterministicLadderMatchesSharedBackoffCore) {
   BackoffSchedule schedule(policy, 5);
   for (std::size_t attempt = 0; attempt < 10; ++attempt) {
     EXPECT_DOUBLE_EQ(schedule.next_delay_s(),
-                     dls::protocol::exponential_backoff(0.001, 2.0, attempt,
-                                                        0.02));
+                     dls::common::exponential_backoff(0.001, 2.0, attempt,
+                                                      0.02));
   }
 }
 

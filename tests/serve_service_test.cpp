@@ -33,6 +33,9 @@ namespace {
 using dls::serve::Frame;
 using dls::serve::FrameType;
 using dls::serve::PipeEnd;
+using dls::serve::RobustOptions;
+using dls::serve::RobustOutcome;
+using dls::serve::RobustResult;
 using dls::serve::ScheduleOptions;
 using dls::serve::ScheduleRequest;
 using dls::serve::ScheduleResponse;
@@ -351,14 +354,58 @@ TEST(ServeServiceTest, ClientRetriesThroughShed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     service.resume();
   });
-  dls::protocol::HeartbeatConfig policy;
-  policy.period = 0.01;
-  policy.retry_budget = 20;
+  RobustOptions robust;
+  robust.policy.base_delay_s = 0.01;
+  robust.policy.max_delay_s = 0.5;
+  robust.policy.max_attempts = 21;
   const ScheduleResponse response =
-      client.schedule_with_retry(kW, kZ, {}, policy);
+      client.schedule_robust(kW, kZ, {}, robust).response;
   resumer.join();
   EXPECT_EQ(response.status, ScheduleStatus::kOk);
   EXPECT_GE(service.stats().shed, 1u);
+}
+
+// schedule_robust against a paused service whose one queue slot is
+// taken: every attempt is shed, and each shed asks for a 0.5 s backoff.
+// Returns the call's wall time.
+double robust_call_against_full_queue(std::size_t max_attempts,
+                                       double total_deadline_s) {
+  ServiceConfig config;
+  config.start_paused = true;
+  config.queue_capacity = 1;
+  SchedulerService service(config);
+  PipeEnd raw = service.connect();
+  SchedulerClient client(service.connect());
+  ScheduleRequest filler;
+  filler.request_id = 1;
+  filler.w = kW;
+  filler.z = kZ;
+  send_request(raw, filler);
+  while (service.stats().admitted < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  RobustOptions robust;
+  robust.policy.base_delay_s = 0.5;
+  robust.policy.max_delay_s = 0.5;
+  robust.policy.max_attempts = max_attempts;
+  robust.policy.total_deadline_s = total_deadline_s;
+  const auto start = std::chrono::steady_clock::now();
+  const RobustResult result = client.schedule_robust(kW, kZ, {}, robust);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.outcome, RobustOutcome::kBudgetExhausted);
+  EXPECT_EQ(result.response.status, ScheduleStatus::kShed);
+  service.resume();
+  return elapsed.count();
+}
+
+TEST(ServeServiceTest, RobustCallDoesNotSleepAfterItsLastAttempt) {
+  EXPECT_LT(robust_call_against_full_queue(1, 0.0), 0.15);
+}
+
+TEST(ServeServiceTest, RobustCallDoesNotSleepPastItsTotalDeadline) {
+  EXPECT_LT(robust_call_against_full_queue(8, 0.1), 0.15);
 }
 
 TEST(ServeServiceTest, InfeasibleTopologyIsTypedError) {

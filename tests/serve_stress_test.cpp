@@ -14,7 +14,6 @@
 
 #include "codec/bytes.hpp"
 #include "common/rng.hpp"
-#include "protocol/recovery.hpp"
 #include "serve/client.hpp"
 #include "serve/service.hpp"
 
@@ -66,11 +65,11 @@ TEST(ServeStressTest, ConcurrentClientsConvergeBitIdentically) {
   config.cache_capacity = 3;  // smaller than the topology set: eviction
   SchedulerService service(config);
 
-  dls::protocol::HeartbeatConfig policy;
-  policy.period = 0.001;
+  dls::serve::RetryPolicy policy;
+  policy.base_delay_s = 0.001;
   policy.backoff_factor = 1.5;
-  policy.max_backoff = 0.02;
-  policy.retry_budget = 400;
+  policy.max_delay_s = 0.02;
+  policy.max_attempts = 401;
 
   // One answer vector per topology per client; merged and cross-checked
   // after the fact. A slot left empty means a lost response.
@@ -81,11 +80,15 @@ TEST(ServeStressTest, ConcurrentClientsConvergeBitIdentically) {
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       SchedulerClient client(service.connect());
+      dls::serve::RobustOptions robust;
+      robust.policy = policy;
+      robust.seed = c + 1;
       for (int i = 0; i < requests_per_client; ++i) {
         const Topology& topo = topos[(c + static_cast<std::size_t>(i)) %
                                      topos.size()];
-        ScheduleResponse response = client.schedule_with_retry(
-            topo.w, topo.z, ScheduleOptions{}, policy);
+        ScheduleResponse response =
+            client.schedule_robust(topo.w, topo.z, ScheduleOptions{}, robust)
+                .response;
         if (response.status != ScheduleStatus::kOk) continue;
         ++ok_count[c];
         response.request_id = 0;

@@ -1,34 +1,28 @@
-// Tests for cancellable simulator events, drop_pending, and the
-// deterministic fault-injection layer (crashes, link faults, meter
-// dropouts) over both chain and star executors.
+// Tests for cancellable simulator events and the deterministic
+// crash-injection layer over the chain executor.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dlt/linear.hpp"
-#include "dlt/star.hpp"
 #include "net/networks.hpp"
 #include "sim/faults.hpp"
 #include "sim/linear_execution.hpp"
 #include "sim/simulator.hpp"
-#include "sim/star_execution.hpp"
 
 namespace {
 
 using dls::common::Rng;
 using dls::dlt::solve_linear_boundary;
 using dls::net::LinearNetwork;
-using dls::net::StarNetwork;
 using dls::sim::EventId;
 using dls::sim::execute_linear;
 using dls::sim::execute_linear_faulty;
-using dls::sim::execute_star_faulty;
 using dls::sim::ExecutionPlan;
 using dls::sim::FaultEvent;
 using dls::sim::FaultPlan;
 using dls::sim::FaultyExecutionResult;
 using dls::sim::Simulator;
-using dls::sim::single_installment;
 
 // ---------------------------------------------------------------------------
 // Cancellable event handles (satellite: Simulator::cancel).
@@ -93,64 +87,22 @@ TEST(SimulatorCancel, PendingCountsOnlyLiveEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// drop_pending and the run_until horizon footgun (satellite).
-
-TEST(SimulatorDropPending, AbandonsEventsBeyondTheHorizon) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&](Simulator&) { ++fired; });
-  sim.schedule_at(5.0, [&](Simulator&) { ++fired; });
-  sim.schedule_at(6.0, [&](Simulator&) { ++fired; });
-  sim.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  // Without drop_pending the late events would fire on the next run().
-  EXPECT_EQ(sim.drop_pending(), 2u);
-  EXPECT_EQ(sim.pending(), 0u);
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(SimulatorDropPending, CancelledEventsAreNotCounted) {
-  Simulator sim;
-  const EventId a = sim.schedule_at(1.0, [](Simulator&) {});
-  sim.schedule_at(2.0, [](Simulator&) {});
-  sim.schedule_at(3.0, [](Simulator&) {});
-  sim.cancel(a);
-  EXPECT_EQ(sim.drop_pending(), 2u);
-  EXPECT_EQ(sim.drop_pending(), 0u);  // idempotent
-}
-
-TEST(SimulatorDropPending, DroppedTokensCannotBeCancelled) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(1.0, [](Simulator&) {});
-  sim.drop_pending();
-  EXPECT_FALSE(sim.cancel(id));
-}
-
-// ---------------------------------------------------------------------------
 // Fault plan bookkeeping.
 
 TEST(FaultPlan, EmptyAndLookupAccessors) {
-  FaultPlan plan(7);
+  FaultPlan plan;
   EXPECT_TRUE(plan.empty());
-  plan.crash_at_work(2, 0.4).drop_messages(1, 0.5).meter_dropout(3);
+  plan.crash_at_work(2, 0.4);
   EXPECT_FALSE(plan.empty());
   ASSERT_TRUE(plan.crash_of(2).has_value());
   EXPECT_DOUBLE_EQ(plan.crash_of(2)->at_work_fraction, 0.4);
   EXPECT_FALSE(plan.crash_of(1).has_value());
-  EXPECT_TRUE(plan.meter_dropped(3));
-  EXPECT_FALSE(plan.meter_dropped(2));
-  EXPECT_EQ(plan.faults_on_link(1).size(), 1u);
-  EXPECT_DOUBLE_EQ(plan.path_loss_probability(2), 0.5);
-  EXPECT_DOUBLE_EQ(plan.path_loss_probability(0), 0.0);
 }
 
 TEST(FaultPlan, ValidatesSpecs) {
   FaultPlan plan;
   EXPECT_THROW(plan.crash_at_work(1, 1.5), dls::PreconditionError);
-  EXPECT_THROW(plan.crash_at_time(1, -2.0), dls::PreconditionError);
-  EXPECT_THROW(plan.drop_messages(0, 0.5), dls::PreconditionError);
-  EXPECT_THROW(plan.drop_messages(1, 1.5), dls::PreconditionError);
+  EXPECT_THROW(plan.crash_at_work(1, -0.1), dls::PreconditionError);
 }
 
 TEST(FaultPlan, RandomCrashesAreDeterministic) {
@@ -218,19 +170,24 @@ TEST(ExecuteLinearFaulty, WorkFractionCrashKeepsVerifiedPartialWork) {
   EXPECT_TRUE(crash_logged);
 }
 
-TEST(ExecuteLinearFaulty, EarlyAbsoluteCrashSeversTheChain) {
-  // P1 dies at t=0: it computes nothing and can relay nothing, so only
-  // the root's share survives.
+TEST(ExecuteLinearFaulty, CrashOnArrivalSeversTheChain) {
+  // P1 dies the moment its load arrives: it computes nothing and relays
+  // nothing, so only the root's share survives.
   const LinearNetwork net({1.0, 1.0, 1.0}, {0.2, 0.2});
   const auto sol = solve_linear_boundary(net);
   const auto result =
-      run_compliant_faulty(net, FaultPlan{}.crash_at_time(1, 0.0));
+      run_compliant_faulty(net, FaultPlan{}.crash_at_work(1, 0.0));
   EXPECT_TRUE(result.crashed[1]);
   EXPECT_DOUBLE_EQ(result.base.computed[1], 0.0);
   EXPECT_DOUBLE_EQ(result.base.computed[2], 0.0);
   EXPECT_NEAR(result.base.computed[0], sol.alpha[0], 1e-12);
   EXPECT_NEAR(result.lost_load(), 1.0 - sol.alpha[0], 1e-9);
   EXPECT_GT(result.undelivered, 0.0);
+  bool loss_logged = false;
+  for (const FaultEvent& e : result.events) {
+    loss_logged |= e.kind == FaultEvent::Kind::kMessageLost;
+  }
+  EXPECT_TRUE(loss_logged);
 }
 
 TEST(ExecuteLinearFaulty, LateCrashSparesForwardedLoad) {
@@ -245,56 +202,12 @@ TEST(ExecuteLinearFaulty, LateCrashSparesForwardedLoad) {
   EXPECT_NEAR(result.lost_load(), 0.1 * sol.alpha[1], 1e-9);
 }
 
-TEST(ExecuteLinearFaulty, CertainMessageLossStarvesTheSuffix) {
-  const LinearNetwork net({1.0, 1.0, 1.0}, {0.2, 0.2});
-  const auto sol = solve_linear_boundary(net);
-  const auto result =
-      run_compliant_faulty(net, FaultPlan{}.drop_messages(1, 1.0));
-  EXPECT_FALSE(result.any_crash());
-  EXPECT_NEAR(result.base.computed[0], sol.alpha[0], 1e-12);
-  EXPECT_DOUBLE_EQ(result.base.computed[1], 0.0);
-  EXPECT_DOUBLE_EQ(result.base.computed[2], 0.0);
-  EXPECT_GT(result.undelivered, 0.0);
-  bool loss_logged = false;
-  for (const FaultEvent& e : result.events) {
-    loss_logged |= e.kind == FaultEvent::Kind::kMessageLost;
-  }
-  EXPECT_TRUE(loss_logged);
-}
-
-TEST(ExecuteLinearFaulty, DelayPostponesButPreservesTheLoad) {
-  const LinearNetwork net({1.0, 1.0, 1.0}, {0.2, 0.2});
-  const auto clean = run_compliant_faulty(net, FaultPlan{});
-  const auto delayed =
-      run_compliant_faulty(net, FaultPlan{}.delay_messages(1, 0.5));
-  EXPECT_NEAR(delayed.lost_load(), 0.0, 1e-12);
-  EXPECT_GT(delayed.base.makespan, clean.base.makespan + 0.4);
-  EXPECT_NEAR(delayed.base.computed[1], clean.base.computed[1], 1e-12);
-}
-
-TEST(ExecuteLinearFaulty, CorruptionTaintsTheReceiverNotTheLoad) {
-  const LinearNetwork net({1.0, 1.0, 1.0}, {0.2, 0.2});
-  const auto result =
-      run_compliant_faulty(net, FaultPlan{}.corrupt_messages(1, 1.0));
-  EXPECT_TRUE(result.corrupted[1]);
-  EXPECT_NEAR(result.lost_load(), 0.0, 1e-12);  // bytes still flow
-}
-
-TEST(ExecuteLinearFaulty, MeterDropoutIsFlagged) {
-  const LinearNetwork net({1.0, 1.0}, {0.2});
-  const auto result = run_compliant_faulty(net, FaultPlan{}.meter_dropout(1));
-  EXPECT_FALSE(result.meter_ok[1]);
-  EXPECT_TRUE(result.meter_ok[0]);
-}
-
-TEST(ExecuteLinearFaulty, SameSeedReplaysBitIdentically) {
+TEST(ExecuteLinearFaulty, SamePlanReplaysBitIdentically) {
   Rng rng(2026);
   const LinearNetwork net = LinearNetwork::random(6, rng, 0.5, 5.0, 0.05, 0.5);
   const auto sol = solve_linear_boundary(net);
   const ExecutionPlan plan = ExecutionPlan::compliant(net, sol);
-  const FaultPlan faults =
-      FaultPlan{123}.crash_at_work(2, 0.3).drop_messages(3, 0.5).delay_messages(
-          1, 0.1, 0.5);
+  const FaultPlan faults = FaultPlan{}.crash_at_work(2, 0.3);
   const auto a = execute_linear_faulty(net, plan, faults);
   const auto b = execute_linear_faulty(net, plan, faults);
   ASSERT_EQ(a.events.size(), b.events.size());
@@ -310,37 +223,6 @@ TEST(ExecuteLinearFaulty, SameSeedReplaysBitIdentically) {
     EXPECT_DOUBLE_EQ(a.crash_time[i], b.crash_time[i]);
   }
   EXPECT_DOUBLE_EQ(a.undelivered, b.undelivered);
-}
-
-// ---------------------------------------------------------------------------
-// Faulty star executor. Results are indexed like the star trace: 0 is
-// the root, worker i sits at index i+1 (crash specs use the same
-// indexing — processor j means worker j-1).
-
-TEST(ExecuteStarFaulty, WorkerCrashTruncatesItsChunks) {
-  Rng rng(11);
-  const StarNetwork star = StarNetwork::random(4, rng, 0.5, 5.0, 0.05, 0.5,
-                                               /*with_root=*/false);
-  const auto sol = dls::dlt::solve_star(star);
-  const auto schedule =
-      single_installment(star, sol.alpha_root, sol.alpha, sol.order);
-  const auto clean = execute_star_faulty(star, schedule, FaultPlan{});
-  EXPECT_NEAR(clean.lost_load(), 0.0, 1e-12);
-
-  const auto result = execute_star_faulty(
-      star, schedule, FaultPlan{}.crash_at_work(2, 0.5));
-  EXPECT_TRUE(result.crashed[2]);
-  EXPECT_NEAR(result.base.computed[2], 0.5 * sol.alpha[1], 1e-9);
-  EXPECT_NEAR(result.lost_load(), 0.5 * sol.alpha[1], 1e-9);
-}
-
-TEST(ExecuteStarFaulty, RejectsRootCrash) {
-  const StarNetwork star(0.0, {1.0}, {0.1});
-  dls::sim::StarSchedule schedule;
-  schedule.sends = {dls::sim::Installment{0, 1.0}};
-  EXPECT_THROW(
-      execute_star_faulty(star, schedule, FaultPlan{}.crash_at_time(0, 1.0)),
-      dls::PreconditionError);
 }
 
 }  // namespace

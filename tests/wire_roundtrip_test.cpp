@@ -1,9 +1,10 @@
-// Round-trip property tests for every wire message in protocol/wire.hpp:
-// encode → decode is the identity for random well-formed messages, and
-// no truncated, extended or corrupted buffer is ever accepted silently —
-// decoding either throws codec::DecodeError or (for payload-byte flips
-// that keep the framing intact) yields a message that fails signature
-// verification. Nothing may crash or invoke UB.
+// Round-trip property tests for the Phase II allocation message G_i, the
+// one message run_protocol ships through the wire: encode → decode is
+// the identity for random well-formed messages across every claim kind
+// and preserves every signature bit for bit, and the decoder consumes
+// exactly the encoded bytes — every proper prefix and every extension
+// throws codec::DecodeError. protocol_wire_test holds the adversarial
+// cases (wrong magic, bit flips, random buffers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,9 +28,8 @@ using dls::crypto::ClaimKind;
 using dls::crypto::KeyRegistry;
 using dls::crypto::SignedClaim;
 using dls::protocol::AllocationMessage;
-using dls::protocol::BidMessage;
-using dls::protocol::PaymentMessage;
-using dls::protocol::ReportMessage;
+using dls::protocol::decode_allocation_message;
+using dls::protocol::encode_allocation_message;
 
 constexpr ClaimKind kAllKinds[] = {
     ClaimKind::kEquivalentBid, ClaimKind::kReceivedLoad,
@@ -69,272 +69,47 @@ struct Fixture {
     g.equiv_bid_self = random_claim();
     return g;
   }
-
-  ReportMessage random_report() {
-    ReportMessage r;
-    r.metered_rate = random_claim();
-    r.token_count = random_claim();
-    return r;
-  }
-
-  PaymentMessage random_payment() {
-    PaymentMessage p;
-    p.processor = static_cast<std::uint32_t>(rng.uniform_int(0, 64));
-    p.round = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
-    p.compensation = rng.uniform(0.0, 10.0);
-    p.bonus = rng.uniform(0.0, 5.0);
-    p.solution_bonus = rng.uniform(0.0, 1.0);
-    p.payment = p.compensation + p.bonus + p.solution_bonus;
-    p.metered_rate = random_claim();
-    return p;
-  }
 };
-
-/// Decode attempts must end in exactly two ways: DecodeError, or a
-/// decoded value (possibly garbage that then fails verification). Any
-/// other exception type — or a crash — is a bug.
-template <typename DecodeFn>
-bool decodes_cleanly(DecodeFn&& decode, std::span<const std::uint8_t> data) {
-  try {
-    decode(data);
-    return true;
-  } catch (const DecodeError&) {
-    return false;
-  }
-}
-
-TEST(WireRoundTrip, SignedClaimIdentityAcrossAllKinds) {
-  Fixture fx;
-  for (int iter = 0; iter < 200; ++iter) {
-    const SignedClaim original = fx.random_claim();
-    const Bytes wire = dls::protocol::encode_signed_claim(original);
-    const SignedClaim decoded = dls::protocol::decode_signed_claim(wire);
-    EXPECT_EQ(decoded, original);
-    // The signature survives the trip bit-for-bit.
-    EXPECT_TRUE(dls::crypto::verify(fx.registry, decoded));
-  }
-}
-
-TEST(WireRoundTrip, BidMessageIdentity) {
-  Fixture fx;
-  for (int iter = 0; iter < 100; ++iter) {
-    const BidMessage original{fx.random_claim()};
-    const BidMessage decoded =
-        dls::protocol::decode_bid_message(
-            dls::protocol::encode_bid_message(original));
-    EXPECT_EQ(decoded.equivalent_bid, original.equivalent_bid);
-  }
-}
 
 TEST(WireRoundTrip, AllocationMessageIdentity) {
   Fixture fx;
-  for (int iter = 0; iter < 50; ++iter) {
+  for (int iter = 0; iter < 100; ++iter) {
     const AllocationMessage original = fx.random_allocation();
     const AllocationMessage decoded =
-        dls::protocol::decode_allocation_message(
-            dls::protocol::encode_allocation_message(original));
+        decode_allocation_message(encode_allocation_message(original));
     EXPECT_EQ(decoded.received_pred, original.received_pred);
     EXPECT_EQ(decoded.received_self, original.received_self);
     EXPECT_EQ(decoded.equiv_bid_pred, original.equiv_bid_pred);
     EXPECT_EQ(decoded.rate_bid_pred, original.rate_bid_pred);
     EXPECT_EQ(decoded.equiv_bid_self, original.equiv_bid_self);
-  }
-}
-
-TEST(WireRoundTrip, ReportMessageIdentity) {
-  Fixture fx;
-  for (int iter = 0; iter < 100; ++iter) {
-    const ReportMessage original = fx.random_report();
-    const ReportMessage decoded = dls::protocol::decode_report_message(
-        dls::protocol::encode_report_message(original));
-    EXPECT_EQ(decoded.metered_rate, original.metered_rate);
-    EXPECT_EQ(decoded.token_count, original.token_count);
-    // Both embedded claims stay verifiable after the trip.
-    EXPECT_TRUE(dls::crypto::verify(fx.registry, decoded.metered_rate));
-    EXPECT_TRUE(dls::crypto::verify(fx.registry, decoded.token_count));
-  }
-}
-
-TEST(WireRoundTrip, PaymentMessageIdentity) {
-  Fixture fx;
-  for (int iter = 0; iter < 100; ++iter) {
-    const PaymentMessage original = fx.random_payment();
-    const PaymentMessage decoded = dls::protocol::decode_payment_message(
-        dls::protocol::encode_payment_message(original));
-    EXPECT_EQ(decoded.processor, original.processor);
-    EXPECT_EQ(decoded.round, original.round);
-    // Bit-exact doubles: the wire carries IEEE-754 bit patterns.
-    EXPECT_EQ(decoded.compensation, original.compensation);
-    EXPECT_EQ(decoded.bonus, original.bonus);
-    EXPECT_EQ(decoded.solution_bonus, original.solution_bonus);
-    EXPECT_EQ(decoded.payment, original.payment);
-    EXPECT_EQ(decoded.metered_rate, original.metered_rate);
-    EXPECT_TRUE(dls::crypto::verify(fx.registry, decoded.metered_rate));
+    // Every signature survives the trip bit for bit.
+    for (const SignedClaim* sc :
+         {&decoded.received_pred, &decoded.received_self,
+          &decoded.equiv_bid_pred, &decoded.rate_bid_pred,
+          &decoded.equiv_bid_self}) {
+      EXPECT_TRUE(dls::crypto::verify(fx.registry, *sc));
+    }
   }
 }
 
 TEST(WireRoundTrip, EveryTruncationPrefixIsRejected) {
   Fixture fx;
-  const Bytes claim_wire = dls::protocol::encode_signed_claim(
-      fx.random_claim());
-  const Bytes bid_wire = dls::protocol::encode_bid_message(
-      BidMessage{fx.random_claim()});
-  const Bytes alloc_wire = dls::protocol::encode_allocation_message(
-      fx.random_allocation());
-
-  for (std::size_t len = 0; len < claim_wire.size(); ++len) {
-    EXPECT_THROW(dls::protocol::decode_signed_claim(
-                     std::span(claim_wire.data(), len)),
-                 DecodeError)
-        << "claim prefix of " << len << " bytes accepted";
-  }
-  for (std::size_t len = 0; len < bid_wire.size(); ++len) {
-    EXPECT_THROW(
-        dls::protocol::decode_bid_message(std::span(bid_wire.data(), len)),
-        DecodeError)
-        << "bid prefix of " << len << " bytes accepted";
-  }
-  for (std::size_t len = 0; len < alloc_wire.size(); ++len) {
-    EXPECT_THROW(dls::protocol::decode_allocation_message(
-                     std::span(alloc_wire.data(), len)),
+  const Bytes wire = encode_allocation_message(fx.random_allocation());
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_THROW(decode_allocation_message(std::span(wire.data(), len)),
                  DecodeError)
         << "allocation prefix of " << len << " bytes accepted";
-  }
-
-  const Bytes report_wire =
-      dls::protocol::encode_report_message(fx.random_report());
-  for (std::size_t len = 0; len < report_wire.size(); ++len) {
-    EXPECT_THROW(dls::protocol::decode_report_message(
-                     std::span(report_wire.data(), len)),
-                 DecodeError)
-        << "report prefix of " << len << " bytes accepted";
-  }
-  const Bytes payment_wire =
-      dls::protocol::encode_payment_message(fx.random_payment());
-  for (std::size_t len = 0; len < payment_wire.size(); ++len) {
-    EXPECT_THROW(dls::protocol::decode_payment_message(
-                     std::span(payment_wire.data(), len)),
-                 DecodeError)
-        << "payment prefix of " << len << " bytes accepted";
   }
 }
 
 TEST(WireRoundTrip, TrailingBytesAreRejected) {
   Fixture fx;
-  Bytes wire = dls::protocol::encode_signed_claim(fx.random_claim());
-  wire.push_back(0x00);
-  EXPECT_THROW(dls::protocol::decode_signed_claim(wire), DecodeError);
-
-  Bytes bid = dls::protocol::encode_bid_message(
-      BidMessage{fx.random_claim()});
-  bid.push_back(0xff);
-  EXPECT_THROW(dls::protocol::decode_bid_message(bid), DecodeError);
-
-  Bytes alloc = dls::protocol::encode_allocation_message(
-      fx.random_allocation());
-  alloc.push_back(0x42);
-  EXPECT_THROW(dls::protocol::decode_allocation_message(alloc), DecodeError);
-
-  Bytes report = dls::protocol::encode_report_message(fx.random_report());
-  report.push_back(0x01);
-  EXPECT_THROW(dls::protocol::decode_report_message(report), DecodeError);
-
-  Bytes payment = dls::protocol::encode_payment_message(fx.random_payment());
-  payment.push_back(0x7f);
-  EXPECT_THROW(dls::protocol::decode_payment_message(payment), DecodeError);
-}
-
-TEST(WireRoundTrip, WrongMagicIsRejected) {
-  Fixture fx;
-  const Bytes claim_wire =
-      dls::protocol::encode_signed_claim(fx.random_claim());
-  // A claim frame is not a bid frame and vice versa.
-  EXPECT_THROW(dls::protocol::decode_bid_message(claim_wire), DecodeError);
-  EXPECT_THROW(dls::protocol::decode_allocation_message(claim_wire),
-               DecodeError);
-  const Bytes bid_wire = dls::protocol::encode_bid_message(
-      BidMessage{fx.random_claim()});
-  EXPECT_THROW(dls::protocol::decode_signed_claim(bid_wire), DecodeError);
-  // Phase III/IV frames are equally picky about each other's magic.
-  const Bytes report_wire =
-      dls::protocol::encode_report_message(fx.random_report());
-  EXPECT_THROW(dls::protocol::decode_payment_message(report_wire),
-               DecodeError);
-  const Bytes payment_wire =
-      dls::protocol::encode_payment_message(fx.random_payment());
-  EXPECT_THROW(dls::protocol::decode_report_message(payment_wire),
-               DecodeError);
-  EXPECT_THROW(dls::protocol::decode_bid_message(report_wire), DecodeError);
-}
-
-TEST(WireRoundTrip, SingleByteCorruptionNeverAcceptedAsAuthentic) {
-  Fixture fx;
-  const SignedClaim original = fx.random_claim();
-  const Bytes wire = dls::protocol::encode_signed_claim(original);
-
-  std::size_t decoded_ok = 0, rejected = 0, unverifiable = 0;
-  for (std::size_t pos = 0; pos < wire.size(); ++pos) {
-    for (const std::uint8_t delta : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
-      Bytes corrupt = wire;
-      corrupt[pos] = static_cast<std::uint8_t>(corrupt[pos] ^ delta);
-      try {
-        const SignedClaim decoded =
-            dls::protocol::decode_signed_claim(corrupt);
-        ++decoded_ok;
-        // Framing survived; the flip must land in claim, signer or tag —
-        // all covered by the signature check.
-        if (decoded == original) {
-          ADD_FAILURE() << "flip at byte " << pos
-                        << " produced an identical message";
-        } else if (!dls::crypto::verify(fx.registry, decoded)) {
-          ++unverifiable;
-        }
-      } catch (const DecodeError&) {
-        ++rejected;
-      }
-    }
-  }
-  // Every flip was handled through one of the two sanctioned exits.
-  EXPECT_EQ(decoded_ok + rejected, wire.size() * 2);
-  // And whatever decoded was never a verifiable forgery.
-  EXPECT_EQ(unverifiable, decoded_ok);
-}
-
-TEST(WireRoundTrip, RandomGarbageNeverCrashes) {
-  Fixture fx;
-  Rng rng(0xC0FFEEu);
-  for (int iter = 0; iter < 500; ++iter) {
-    const std::size_t len =
-        static_cast<std::size_t>(rng.uniform_int(0, 256));
-    Bytes garbage(len);
-    for (auto& b : garbage) {
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    decodes_cleanly(
-        [](std::span<const std::uint8_t> d) {
-          return dls::protocol::decode_signed_claim(d);
-        },
-        garbage);
-    decodes_cleanly(
-        [](std::span<const std::uint8_t> d) {
-          return dls::protocol::decode_bid_message(d);
-        },
-        garbage);
-    decodes_cleanly(
-        [](std::span<const std::uint8_t> d) {
-          return dls::protocol::decode_allocation_message(d);
-        },
-        garbage);
-    decodes_cleanly(
-        [](std::span<const std::uint8_t> d) {
-          return dls::protocol::decode_report_message(d);
-        },
-        garbage);
-    decodes_cleanly(
-        [](std::span<const std::uint8_t> d) {
-          return dls::protocol::decode_payment_message(d);
-        },
-        garbage);
+  const Bytes wire = encode_allocation_message(fx.random_allocation());
+  for (const std::uint8_t extra :
+       {std::uint8_t{0x00}, std::uint8_t{0x42}, std::uint8_t{0xff}}) {
+    Bytes extended = wire;
+    extended.push_back(extra);
+    EXPECT_THROW(decode_allocation_message(extended), DecodeError);
   }
 }
 

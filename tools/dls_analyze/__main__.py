@@ -17,9 +17,9 @@ if __package__ in (None, ""):  # executed as `python3 tools/dls_analyze`
     __package__ = "dls_analyze"  # noqa: A001
 
 from dls_analyze import (callgraph, compiledb, fpfence, locks, noalloc,
-                         report, waivers)
+                         reach, report, waivers)
 
-ALL_CHECKS = ("noalloc", "locks", "fpfence")
+ALL_CHECKS = ("noalloc", "locks", "fpfence", "reach")
 
 
 def main(argv=None) -> int:
@@ -28,7 +28,8 @@ def main(argv=None) -> int:
         prog="dls_analyze",
         description="Whole-program discipline analyzer (no-alloc "
                     "reachability, lock-order lattice, FP-determinism "
-                    "fence). See docs/STATIC_ANALYSIS.md.")
+                    "fence, function-level reach). See "
+                    "docs/STATIC_ANALYSIS.md.")
     parser.add_argument("--build-dir", default=str(repo / "build"),
                         help="build tree holding compile_commands.json")
     parser.add_argument("--src", default=str(repo / "src"),
@@ -58,10 +59,10 @@ def main(argv=None) -> int:
             extra_waivers = waivers.parse_file(args.waivers)
 
         results = []
-        entries = None
-        if "noalloc" in checks or "fpfence" in checks:
-            entries = compiledb.src_entries(
-                compiledb.load(args.build_dir), args.src)
+        db = entries = None
+        if {"noalloc", "fpfence", "reach"} & set(checks):
+            db = compiledb.load(args.build_dir)
+            entries = compiledb.src_entries(db, args.src)
         if "noalloc" in checks:
             with tempfile.TemporaryDirectory(prefix="dls_analyze_") as tmp:
                 graph = callgraph.build(entries, Path(tmp), jobs=args.jobs)
@@ -70,6 +71,13 @@ def main(argv=None) -> int:
             results.append(locks.run(args.src))
         if "fpfence" in checks:
             results.append(fpfence.run(args.src, entries))
+        if "reach" in checks:
+            with tempfile.TemporaryDirectory(prefix="dls_analyze_") as tmp:
+                graph = callgraph.build(reach.select_entries(db, args.src),
+                                        Path(tmp), jobs=args.jobs,
+                                        levels_off=False)
+                results.append(reach.run(args.src, graph, extra_waivers,
+                                         args.jobs))
     except compiledb.AnalyzerError as err:
         print(f"dls_analyze: error: {err}", file=sys.stderr)
         return 2

@@ -28,7 +28,8 @@ from .compiledb import AnalyzerError
 
 _QUOTED = r'"((?:[^"\\]|\\.)*)"'
 _NODE_RE = re.compile(r'node:\s*\{\s*title:\s*' + _QUOTED +
-                      r'(?:\s*label:\s*' + _QUOTED + r')?')
+                      r'(?:\s*label:\s*' + _QUOTED + r')?' +
+                      r'(\s*shape\s*:\s*ellipse)?')
 _EDGE_RE = re.compile(r'edge:\s*\{\s*sourcename:\s*' + _QUOTED +
                       r'\s*targetname:\s*' + _QUOTED +
                       r'(?:\s*label:\s*' + _QUOTED + r')?')
@@ -48,6 +49,8 @@ class CallGraph:
     nodes: Dict[str, Node] = dataclasses.field(default_factory=dict)
     # caller mangled -> {callee mangled: "file:line:col" of one call site}
     edges: Dict[str, Dict[str, str]] = dataclasses.field(default_factory=dict)
+    # the object file each compile wrote, in entry order
+    objects: List[Path] = dataclasses.field(default_factory=list)
 
     def add_node(self, node: Node) -> None:
         cur = self.nodes.get(node.mangled)
@@ -76,7 +79,7 @@ def _parse_ci(text: str, graph: CallGraph) -> None:
         title, label = m.group(1), m.group(2)
         key = _title_key(title)
         node = Node(mangled=key)
-        if label:
+        if label and not m.group(3):  # an ellipse is only referenced
             parts = label.split("\\n")
             node.demangled = parts[0]
             if len(parts) >= 2 and ":" in parts[1]:
@@ -94,11 +97,12 @@ def _parse_ci(text: str, graph: CallGraph) -> None:
         graph.add_edge(_title_key(src), _title_key(dst), site)
 
 
-def _run_one(entry: compiledb.Entry, tmp: Path, index: int) -> Path:
+def _run_one(entry: compiledb.Entry, tmp: Path, index: int,
+             levels_off: bool) -> Path:
     tu_dir = tmp / str(index)
     tu_dir.mkdir(parents=True, exist_ok=True)
     obj = tu_dir / "tu.o"
-    argv = compiledb.callgraph_argv(entry, str(obj))
+    argv = compiledb.callgraph_argv(entry, str(obj), levels_off)
     proc = subprocess.run(argv, cwd=entry.directory,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -130,17 +134,19 @@ def _demangle(names: List[str]) -> Dict[str, str]:
 
 
 def build(entries: List[compiledb.Entry], tmp: Path,
-          jobs: int = 0) -> CallGraph:
-    """Compile every entry with -fcallgraph-info and merge the dumps."""
+          jobs: int = 0, levels_off: bool = True) -> CallGraph:
+    """Compile every entry with -fcallgraph-info and merge the dumps.
+    The objects stay in `tmp` (graph.objects) for relocation scans."""
     if not entries:
         raise AnalyzerError("no translation units selected from the "
                             "compile database")
     graph = CallGraph()
     workers = jobs if jobs > 0 else min(16, len(entries))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_run_one, e, tmp, i)
+        futures = [pool.submit(_run_one, e, tmp, i, levels_off)
                    for i, e in enumerate(entries)]
         ci_files = [f.result() for f in futures]
+    graph.objects = [tmp / str(i) / "tu.o" for i in range(len(entries))]
     for ci in ci_files:
         _parse_ci(ci.read_text(encoding="utf-8", errors="replace"), graph)
     for edges in graph.edges.values():
@@ -167,28 +173,35 @@ _CLONE_RE = re.compile(r"(C1|D1|D0)(?=[EI])")
 _CLONE_BASE = {"C1": "C2", "D1": "D2", "D0": "D2"}
 
 
-def _alias_ctor_clones(graph: CallGraph) -> None:
+def _has_body(graph: CallGraph, key: str) -> bool:
+    node = graph.nodes.get(key)
+    return bool(node and node.defined) or bool(graph.edges.get(key))
+
+
+def canonical(graph: CallGraph, key: str, bodyless_only: bool = True) -> str:
     """GCC emits the complete-object constructor (C1) / destructor (D1,
     D0) as an alias of the base-object clone (C2/D2) when there are no
-    virtual bases: the call edge targets C1 but only C2 carries a body
-    and outgoing edges. Redirect edges into bodyless clone symbols to
-    the defined twin so the walk does not dead-end at an alias."""
-    alias: Dict[str, str] = {}
-    for key, node in graph.nodes.items():
-        if node.defined or graph.edges.get(key):
-            continue  # has a body of its own; not an alias
-        for m in _CLONE_RE.finditer(key):
-            twin = key[:m.start()] + _CLONE_BASE[m.group(1)] + key[m.end():]
-            twin_node = graph.nodes.get(twin)
-            if twin_node and (twin_node.defined or graph.edges.get(twin)):
-                alias[key] = twin
-                break
-    if not alias:
-        return
+    virtual bases: a call or a relocation names C1 but only C2 carries a
+    body and outgoing edges. Map such a bodyless clone to its twin; with
+    `bodyless_only` off, map every clone to the twin that holds the
+    source body (a D0 wraps D1 in operator delete)."""
+    if bodyless_only and _has_body(graph, key):
+        return key
+    for m in _CLONE_RE.finditer(key):
+        twin = key[:m.start()] + _CLONE_BASE[m.group(1)] + key[m.end():]
+        if _has_body(graph, twin):
+            return twin
+    return key
+
+
+def _alias_ctor_clones(graph: CallGraph) -> None:
+    """Redirect edges into bodyless clone symbols to the defined twin so
+    the walk does not dead-end at an alias."""
+    alias = {key: canonical(graph, key) for key in graph.nodes}
     for edges in graph.edges.values():
         for dst in list(edges):
-            target = alias.get(dst)
-            if target and target not in edges:
+            target = alias.get(dst, dst)
+            if target != dst and target not in edges:
                 edges[target] = edges[dst]
 
 

@@ -61,14 +61,19 @@ def src_entries(entries: List[Entry], src_root: str) -> List[Entry]:
     return out
 
 
-def callgraph_argv(entry: Entry, out_obj: str) -> List[str]:
+def callgraph_argv(entry: Entry, out_obj: str,
+                   levels_off: bool = True) -> List[str]:
     """Rebuild the TU's command line for a call-graph dump compile.
 
-    The proof runs against the production configuration: contract
-    auditors (DLS_CHECK_LEVEL) and instrumentation (DLS_OBS_LEVEL) are
-    forced to 0 — both layers have their own compile-time gates and are
-    allowed to allocate when compiled in. -O0 keeps every call out of
-    line so the dumped graph is the complete, uninlined one.
+    The no-alloc proof runs against the production configuration
+    (`levels_off`): contract auditors (DLS_CHECK_LEVEL) and
+    instrumentation (DLS_OBS_LEVEL) are forced to 0 — both layers have
+    their own compile-time gates and are allowed to allocate when
+    compiled in. The reach check keeps the database's own levels, so
+    code reached only through a check or span site counts as reached.
+    -O0 keeps every call out of line so the dumped graph is the
+    complete, uninlined one; -ffunction-sections gives every function
+    its own relocation section; -g0 drops debug info nobody reads.
     """
     args: List[str] = []
     skip_next = False
@@ -81,21 +86,33 @@ def callgraph_argv(entry: Entry, out_obj: str) -> List[str]:
             continue
         if a.startswith("-o") and len(a) > 2 and not a.startswith("-of"):
             continue
-        if a.startswith("-DDLS_CHECK_LEVEL") or a.startswith("-DDLS_OBS_LEVEL"):
+        if levels_off and (a.startswith("-DDLS_CHECK_LEVEL")
+                           or a.startswith("-DDLS_OBS_LEVEL")):
             continue
         if a.startswith("-fcallgraph-info"):
             continue
         args.append(a)
+    if levels_off:
+        args += ["-DDLS_CHECK_LEVEL=0", "-DDLS_OBS_LEVEL=0"]
     args += [
-        "-DDLS_CHECK_LEVEL=0",
-        "-DDLS_OBS_LEVEL=0",
         "-O0",
+        "-g0",
         "-w",
         "-fcallgraph-info",
+        "-ffunction-sections",
         "-o",
         out_obj,
     ]
     return args
+
+
+def with_file(entry: Entry, path: Path, extra: List[str]) -> Entry:
+    """`entry`'s command line compiling `path` instead, plus `extra`."""
+    args = [str(path) if a == entry.file else a for a in entry.args]
+    if str(path) not in args:
+        raise AnalyzerError(f"{entry.file}: source not found on its own "
+                            "command line")
+    return Entry(entry.directory, str(path), args[:1] + extra + args[1:])
 
 
 def compiler_flags(entry: Entry) -> List[str]:

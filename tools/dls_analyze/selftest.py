@@ -3,11 +3,14 @@
 
 Each fixture under tools/dls_analyze/fixtures/ plants exactly one
 discipline violation (an allocation on an annotated hot path, a lock
-inversion, a stray fma, a re-associating `omp simd` reduction). A
-healthy analyzer must exit 1 on every one of
-them AND say why with a pointed diagnostic — this is the regression
-guard against the failure mode static checkers actually die of:
-silently going green.
+inversion, a stray fma, a re-associating `omp simd` reduction, an
+external function no entry point reaches). A healthy analyzer must exit
+1 on every one of them AND say why with a pointed diagnostic — this is
+the regression guard against the failure mode static checkers actually
+die of: silently going green. The reach fixture also plants four
+functions the analyzer must NOT report (reached only through a function
+pointer, a vtable or a std::function, or waived), the guard against the
+opposite failure.
 
 Compile databases are generated on the fly (absolute paths are
 machine-specific, so none are committed). Exit 0 when every fixture
@@ -124,9 +127,36 @@ def case_planted_simd_reduction(tmp: Path) -> list[str]:
     ])
 
 
+def case_planted_unreached(tmp: Path) -> list[str]:
+    root = FIXTURES / "planted_unreached"
+    build = tmp / "planted_unreached"
+    build.mkdir()
+    _write_compiledb(build, [root / "src" / "planted.cpp",
+                             root / "examples" / "entry.cpp"],
+                     [f"-I{root / 'src'}"])
+    proc = _run_analyzer(["--checks", "reach",
+                          "--build-dir", str(build),
+                          "--src", str(root / "src"),
+                          "--waivers", str(root / "waivers.conf")])
+    problems = _expect("planted_unreached", proc, [
+        "fixture::planted_unreached_helper(int)",
+        "planted.cpp",
+        "1 error(s)",
+    ])
+    errors = [line for line in proc.stdout.splitlines()
+              if line.lstrip().startswith("error:")]
+    for name in ("stored_in_pointer", "Square::area", "called_from_lambda",
+                 "waived_unreached"):
+        for line in errors:
+            if name in line:
+                problems.append(f"planted_unreached: reported {name}, "
+                                f"which is reached or waived:\n{line}")
+    return problems
+
+
 def main() -> int:
     cases = [case_planted_alloc, case_planted_inversion, case_planted_fma,
-             case_planted_simd_reduction]
+             case_planted_simd_reduction, case_planted_unreached]
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="dls_selftest_") as tmp_str:
         tmp = Path(tmp_str)

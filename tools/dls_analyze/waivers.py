@@ -83,6 +83,9 @@ class WaiverSet:
     def __init__(self, waivers: List[Waiver], check: str):
         self._waivers = [w for w in waivers if w.check == check]
 
+    def waivers(self) -> List[Waiver]:
+        return list(self._waivers)
+
     def match(self, demangled: str, mangled: str = "") -> Waiver | None:
         stripped = strip_return_type(demangled)
         for w in self._waivers:
